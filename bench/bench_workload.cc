@@ -1,17 +1,18 @@
-// Closed-loop serve workload driver: the "millions of users" measurement.
+// Closed-loop serve workload driver.
 //
-// Runs the LDBC-contest-style mixed workloads of serve/workload.h against a
-// ShardedHCoreService over a clustered serving substrate: per mix, a fixed
+// Runs the LDBC-contest-style mixed workloads of serve/workload.h against
+// the serving tier over a clustered serving substrate: per mix, a fixed
 // closed-loop run reporting QPS and exact-rank p50/p99/p999 per op class
 // (log-bucket histogram resolution, see LatencyHistogram), then a
 // saturation search that doubles the client count until QPS plateaus.
 //
 //   --json=PATH      write BENCH_workload.json (CI artifact)
 //   --check          enforcing mode: (1) a collecting run's write batches
-//                    are replayed into a single-index oracle and every
-//                    sampled spectrum/component/community answer must
-//                    match (CompareToSingleIndexOracle == 0), and (2) every
-//                    op class's p99 must stay under --max-p99-ms.
+//                    are replayed onto the initial graph, which is
+//                    decomposed from scratch, and every spectrum plus the
+//                    sampled component/community answers must match
+//                    (CompareToScratchOracle == 0), and (2) every op
+//                    class's p99 must stay under --max-p99-ms.
 //   --max-p99-ms=N   sanity bound for --check (default 5000 — generous:
 //                    it exists to catch pathological stalls, not to gate
 //                    performance tuning).
@@ -24,16 +25,14 @@
 //                    zipf hub churn on the same substrate, whose repair
 //                    regions overflow the localized cap onto the O(n + m)
 //                    warm repeel. Under the pre-paging design both cost
-//                    the same (every batch replayed the full CSR on every
-//                    shard), so a ratio near 1 means that replay crept
-//                    back in.
-//   --shards=N       shard count of the tier under test (default 4)
+//                    the same (every batch rebuilt the full CSR), so a
+//                    ratio near 1 means that rebuild crept back in.
 //   --clients=N      clients for the fixed-mix runs (default 4)
 //   --ops=N          override ops per client (default 75 quick / 2000 full)
 //   --full           1M-vertex substrate and a deeper op budget
 //
 // Quick mode is sized for the CI smoke: ApplyBatch dominates wall time
-// (each write rebuilds every shard's level structure), so the quick
+// (hub-churn writes fall back to whole-level repeels), so the quick
 // substrate stays small enough that the write-heavy mix finishes in tens
 // of seconds on a small runner. --full is the real measurement.
 //
@@ -57,10 +56,9 @@ namespace {
 
 using namespace hcore;
 
-/// Heterogeneous clustered serving substrate (same family as
-/// bench_serve_scatter's): communities of varying size and density plus
-/// sparse random bridges, so innermost-core components are community-sized
-/// and the hash partition cuts every community across shards.
+/// Heterogeneous clustered serving substrate: communities of varying size
+/// and density plus sparse random bridges, so innermost-core components
+/// are community-sized.
 Graph Clustered(VertexId n, Rng* rng) {
   GraphBuilder b(n);
   VertexId v = 0;
@@ -117,8 +115,8 @@ struct MixRow {
 // Write path: ApplyBatch latency as a function of batch size.
 //
 // The paged-COW contract is that a batch costs O(touched pages + repair
-// region), NOT O(n + m) per shard: latency must grow with the batch size
-// and must NOT grow with the substrate size. Each row runs a fresh tier on
+// region), NOT O(n + m): latency must grow with the batch size and must
+// NOT grow with the substrate size. Each row runs a fresh service on
 // the same substrate and times `batches` zipf-churn batches (same edit
 // shape as the workload driver's write op: alternating inserts between
 // sampled vertices and deletes of sampled existing edges).
@@ -160,21 +158,21 @@ WritePathRow MeasureWritePath(const Graph& g,
                               int batch_size, int batches, double zipf_skew,
                               uint64_t seed,
                               GraphMemoryStats* memory_out = nullptr) {
-  ShardedHCoreService tier(Graph(g), options);
+  ShardedHCoreService service(Graph(g), options);
   ZipfSampler zipf(g.num_vertices(), zipf_skew);
   Rng rng(seed);
   LatencyHistogram latency;
   for (int b = 0; b < batches; ++b) {
     std::vector<EdgeEdit> batch =
-        ChurnBatch(*tier.view(), zipf, batch_size, &rng);
+        ChurnBatch(*service.view(), zipf, batch_size, &rng);
     const auto start = std::chrono::steady_clock::now();
-    (void)tier.ApplyBatch(batch);
+    (void)service.ApplyBatch(batch);
     const auto stop = std::chrono::steady_clock::now();
     latency.RecordNs(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
             .count()));
   }
-  if (memory_out != nullptr) *memory_out = tier.stats().memory;
+  if (memory_out != nullptr) *memory_out = service.stats().memory;
   WritePathRow row;
   row.batch_size = batch_size;
   row.batches = batches;
@@ -207,8 +205,8 @@ void PrintReport(const MixRow& row) {
   std::fflush(stdout);
 }
 
-void WriteJson(const char* path, VertexId n, uint64_t m, int shards,
-               double zipf, const std::vector<MixRow>& rows,
+void WriteJson(const char* path, VertexId n, uint64_t m, double zipf,
+               const std::vector<MixRow>& rows,
                const std::vector<WritePathRow>& write_rows,
                const WritePathRow& page_local,
                const GraphMemoryStats& memory) {
@@ -219,9 +217,9 @@ void WriteJson(const char* path, VertexId n, uint64_t m, int shards,
   }
   std::fprintf(f,
                "{\n  \"bench\": \"workload\",\n  \"n\": %u,\n  \"m\": %llu,\n"
-               "  \"shards\": %d,\n  \"zipf_skew\": %.2f,\n"
+               "  \"zipf_skew\": %.2f,\n"
                "  \"hardware_threads\": %u,\n  \"mixes\": [\n",
-               n, static_cast<unsigned long long>(m), shards, zipf,
+               n, static_cast<unsigned long long>(m), zipf,
                std::thread::hardware_concurrency());
   for (size_t r = 0; r < rows.size(); ++r) {
     const MixRow& row = rows[r];
@@ -286,7 +284,6 @@ int main(int argc, char** argv) {
   bool check = false;
   bool check_writes = false;
   double max_p99_ms = 5000.0;
-  int shards = 4;
   int clients = 4;
   int ops_override = 0;  // --ops=N overrides ops_per_client
   for (int i = 1; i < argc; ++i) {
@@ -296,9 +293,6 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--max-p99-ms=", 13) == 0) {
       max_p99_ms = std::atof(argv[i] + 13);
     }
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = std::atoi(argv[i] + 9);
-    }
     if (std::strncmp(argv[i], "--clients=", 10) == 0) {
       clients = std::atoi(argv[i] + 10);
     }
@@ -306,8 +300,8 @@ int main(int argc, char** argv) {
       ops_override = std::atoi(argv[i] + 6);
     }
   }
-  if (shards < 1 || clients < 1) {
-    std::fprintf(stderr, "--shards and --clients must be >= 1\n");
+  if (clients < 1) {
+    std::fprintf(stderr, "--clients must be >= 1\n");
     return 1;
   }
   bench::PrintHeader("Closed-loop serve workload driver (mix x latency)");
@@ -318,13 +312,12 @@ int main(int argc, char** argv) {
   }
   Rng gen_rng(47);
   Graph g = Clustered(n, &gen_rng);
-  std::printf("graph: n=%u m=%llu shards=%d hardware_threads=%u (%s)\n",
+  std::printf("graph: n=%u m=%llu hardware_threads=%u (%s)\n",
               g.num_vertices(), static_cast<unsigned long long>(g.num_edges()),
-              shards, std::thread::hardware_concurrency(),
+              std::thread::hardware_concurrency(),
               args.full ? "full scale" : "quick scale");
 
   ShardedServiceOptions service_options;
-  service_options.num_shards = shards;
   service_options.index.max_h = 2;
 
   const int ops_per_client =
@@ -333,12 +326,12 @@ int main(int argc, char** argv) {
   const double zipf_skew = 0.8;
   bool ok = true;
 
-  // Differential leg first, on its OWN fresh tier (the oracle replay needs
-  // every batch since construction): a collecting mixed run, then replay
-  // into a 1-shard oracle and compare sampled answers.
+  // Differential leg first, on its OWN fresh service (the replay needs
+  // every batch since construction): a collecting mixed run, then the
+  // replayed graph decomposed from scratch against the final answers.
   if (check) {
-    std::printf("differential: mixed run vs single-index oracle ...\n");
-    ShardedHCoreService tier(Graph(g), service_options);
+    std::printf("differential: mixed run vs from-scratch oracle ...\n");
+    ShardedHCoreService service(Graph(g), service_options);
     WorkloadOptions options;
     options.mix = Mixes()[1];  // mixed
     options.clients = clients;
@@ -346,15 +339,17 @@ int main(int argc, char** argv) {
     options.zipf_skew = zipf_skew;
     options.seed = 97;
     options.collect_applied_batches = true;
-    const WorkloadReport report = RunWorkload(&tier, options);
-    const size_t mismatches = CompareToSingleIndexOracle(
-        Graph(g), service_options.index, tier, report);
+    const WorkloadReport report = RunWorkload(&service, options);
+    const size_t mismatches =
+        CompareToScratchOracle(ReplayAppliedBatches(Graph(g), report),
+                               *service.view())
+            .total();
     std::printf("differential: %zu write batches, %zu mismatches\n",
                 report.applied_batches.size(), mismatches);
     if (mismatches != 0) {
       std::fprintf(stderr,
-                   "FAIL: sharded workload answers diverged from the "
-                   "single-index oracle\n");
+                   "FAIL: workload answers diverged from the from-scratch "
+                   "oracle\n");
       ok = false;
     }
   }
@@ -399,8 +394,8 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
-  // Write path: ApplyBatch latency vs batch size on a fresh tier per row
-  // (group commit off — this measures the raw prepare-once write path).
+  // Write path: ApplyBatch latency vs batch size on a fresh service per row
+  // (group commit off — this measures the raw write path).
   const int write_batches = args.full ? 32 : 12;
   std::vector<WritePathRow> write_rows;
   GraphMemoryStats write_memory;
@@ -422,13 +417,13 @@ int main(int argc, char** argv) {
   // Locality row: 8 inserts forming a clique among fresh tail vertices.
   // The repair region is the new component and only tail pages are
   // rebuilt, so this is the pure write-path floor: canonicalize + page
-  // splice + adopt fan-out + publish, no region-cap overflow.
+  // splice + localized repair + publish, no region-cap overflow.
   WritePathRow local_row;
   {
-    ShardedHCoreService tier(Graph(g), service_options);
+    ShardedHCoreService local(Graph(g), service_options);
     LatencyHistogram latency;
     for (int b = 0; b < write_batches; ++b) {
-      const VertexId base = tier.view()->graph().num_vertices();
+      const VertexId base = local.view()->graph().num_vertices();
       std::vector<EdgeEdit> batch;
       for (int i = 0; i < 4; ++i) {
         for (int j = i + 1; j < 4; ++j) {
@@ -437,7 +432,7 @@ int main(int argc, char** argv) {
       }
       batch.resize(8);
       const auto start = std::chrono::steady_clock::now();
-      (void)tier.ApplyBatch(batch);
+      (void)local.ApplyBatch(batch);
       const auto stop = std::chrono::steady_clock::now();
       latency.RecordNs(static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
@@ -464,8 +459,8 @@ int main(int argc, char** argv) {
     }
     // (2) ... and tracks the touched region, not the graph: page-local
     // batches must be >= 10x cheaper than same-size hub churn on the same
-    // substrate. The pre-paging design replayed the full CSR on every
-    // shard for both, so this ratio was ~1 there.
+    // substrate. The pre-paging design rebuilt the full CSR for both, so
+    // this ratio was ~1 there.
     const WritePathRow& churn = write_rows[1];  // batch_size == 8
     if (10.0 * local_row.p50_ms > churn.mean_ms) {
       std::fprintf(stderr,
@@ -479,7 +474,7 @@ int main(int argc, char** argv) {
   }
 
   if (json_path != nullptr) {
-    WriteJson(json_path, n, g.num_edges(), shards, zipf_skew, rows,
+    WriteJson(json_path, n, g.num_edges(), zipf_skew, rows,
               write_rows, local_row, write_memory);
   }
   if (check && ok) {

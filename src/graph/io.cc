@@ -4,26 +4,34 @@
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 
 namespace hcore::io {
 namespace {
 
-// Parses one unsigned integer starting at text[*pos]; advances *pos.
-// Returns false if no digits are present.
-bool ParseUint(const std::string& text, size_t* pos, uint64_t* out) {
+// Parses one vertex id starting at text[*pos], which must end at `eol` or
+// at whitespace; advances *pos past it. Returns nullptr on success, else
+// what is wrong with the id.
+const char* ParseId(const std::string& text, size_t eol, size_t* pos,
+                    uint64_t* out) {
   size_t i = *pos;
-  if (i >= text.size() || !std::isdigit(static_cast<unsigned char>(text[i]))) {
-    return false;
+  if (i >= eol || !std::isdigit(static_cast<unsigned char>(text[i]))) {
+    return "is missing or not a number";
   }
   uint64_t value = 0;
-  while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) {
-    value = value * 10 + static_cast<uint64_t>(text[i] - '0');
+  while (i < eol && std::isdigit(static_cast<unsigned char>(text[i]))) {
+    const uint64_t digit = static_cast<uint64_t>(text[i] - '0');
+    if (value > (UINT64_MAX - digit) / 10) return "exceeds 2^64-1";
+    value = value * 10 + digit;
     ++i;
+  }
+  if (i < eol && !std::isspace(static_cast<unsigned char>(text[i]))) {
+    return "has trailing characters";
   }
   *pos = i;
   *out = value;
-  return true;
+  return nullptr;
 }
 
 }  // namespace
@@ -45,16 +53,21 @@ Result<Graph> ParseEdgeList(const std::string& text) {
     size_t i = pos;
     while (i < eol && std::isspace(static_cast<unsigned char>(text[i]))) ++i;
     if (i < eol && text[i] != '#' && text[i] != '%') {
-      uint64_t u = 0, v = 0;
-      if (!ParseUint(text, &i, &u)) {
-        return Status::InvalidArgument("edge list: bad source id at line " +
+      auto bad_id = [line_no](const char* which, const char* error) {
+        return Status::InvalidArgument("edge list: " + std::string(which) +
+                                       " id " + error + " at line " +
                                        std::to_string(line_no));
+      };
+      uint64_t u = 0, v = 0;
+      if (const char* error = ParseId(text, eol, &i, &u)) {
+        return bad_id("source", error);
       }
       while (i < eol && std::isspace(static_cast<unsigned char>(text[i]))) ++i;
-      if (!ParseUint(text, &i, &v)) {
-        return Status::InvalidArgument("edge list: bad target id at line " +
-                                       std::to_string(line_no));
+      if (const char* error = ParseId(text, eol, &i, &v)) {
+        return bad_id("target", error);
       }
+      // Further whitespace-separated columns (e.g. KONECT weights and
+      // timestamps) are ignored.
       builder.AddEdge(intern(u), intern(v));
     }
     pos = eol + 1;

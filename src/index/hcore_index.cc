@@ -6,37 +6,11 @@
 #include "graph/ordering.h"
 
 namespace hcore {
-namespace {
-
-/// The shared "level untouched" summary (reused levels all point here).
-const std::shared_ptr<const std::vector<CoreDelta>>& EmptyDelta() {
-  static const auto kEmpty = std::make_shared<const std::vector<CoreDelta>>();
-  return kEmpty;
-}
-
-/// Exact per-level diff: every vertex whose core changed, with before and
-/// after values. Vertices the batch created (beyond the old vector) diff
-/// against an implicit old core of 0 — they were in no level set before.
-std::shared_ptr<const std::vector<CoreDelta>> DiffCores(
-    const std::vector<uint32_t>& old_core,
-    const std::vector<uint32_t>& new_core) {
-  auto delta = std::make_shared<std::vector<CoreDelta>>();
-  for (size_t v = 0; v < new_core.size(); ++v) {
-    const uint32_t before = v < old_core.size() ? old_core[v] : 0;
-    if (before != new_core[v]) {
-      delta->push_back({static_cast<VertexId>(v), before, new_core[v]});
-    }
-  }
-  return delta;
-}
-
-}  // namespace
 
 void HCoreIndexStats::Add(const HCoreIndexStats& other) {
   csr_rebuilds += other.csr_rebuilds;
   batches_applied += other.batches_applied;
   edits_applied += other.edits_applied;
-  adoptions += other.adoptions;
   level_decompositions += other.level_decompositions;
   levels_unchanged += other.levels_unchanged;
   localized_updates += other.localized_updates;
@@ -92,16 +66,6 @@ uint32_t HCoreSnapshot::Degeneracy(int h) const {
 bool HCoreSnapshot::LevelReused(int h) const {
   HCORE_CHECK(h >= 1 && h <= max_h());
   return levels_[h - 1].reused;
-}
-
-bool HCoreSnapshot::LevelDeltaKnown(int h) const {
-  HCORE_CHECK(h >= 1 && h <= max_h());
-  return levels_[h - 1].delta != nullptr;
-}
-
-std::span<const CoreDelta> HCoreSnapshot::LevelDelta(int h) const {
-  HCORE_CHECK(LevelDeltaKnown(h));
-  return *levels_[h - 1].delta;
 }
 
 const CoreHierarchy& HCoreSnapshot::Hierarchy(int h) const {
@@ -208,21 +172,6 @@ HCoreIndex::HCoreIndex(Graph g, const HCoreIndexOptions& options)
   stats_.Add(boot);
   snap_.reset(new HCoreSnapshot(std::move(graph), std::move(levels),
                                 /*epoch=*/0));
-}
-
-HCoreIndex::HCoreIndex(std::shared_ptr<const HCoreSnapshot> donor,
-                       const HCoreIndexOptions& options)
-    : options_(options), updater_(options.base.num_threads) {
-  HCORE_CHECK(donor != nullptr);
-  HCORE_CHECK(options_.max_h == donor->max_h());
-  HCORE_CHECK(options_.base.extra_lower_bound == nullptr);
-  HCORE_CHECK(options_.base.extra_upper_bound == nullptr);
-  // Share the donor's graph pages and level vectors; own the lazy caches
-  // (fresh HCoreSnapshot object, same shared artifacts).
-  std::shared_ptr<const HCoreSnapshot> snap(
-      new HCoreSnapshot(donor->graph_, donor->levels_, donor->epoch()));
-  MutexLock lock(mu_);
-  snap_ = std::move(snap);
 }
 
 std::shared_ptr<const HCoreSnapshot> HCoreIndex::snapshot() const {
@@ -372,22 +321,16 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
       uint32_t degeneracy = 0;
       for (const uint32_t c : out.core) degeneracy = std::max(degeneracy, c);
       level.degeneracy = degeneracy;
-      std::shared_ptr<const std::vector<CoreDelta>> delta;
-      if (out.ls.changed != 0 || out.core.size() != old_core->size()) {
-        // The mixed chain can report phase-local changes that cancel out
-        // (demoted by the deletes, restored by the inserts), so the reuse
-        // decision rests on the exact diff, not the per-phase counter.
-        delta = DiffCores(*old_core, out.core);
-      }
-      if ((delta == nullptr || delta->empty()) &&
-          out.core.size() == old_core->size()) {
+      // The mixed chain can report phase-local changes that cancel out
+      // (demoted by the deletes, restored by the inserts), so a nonzero
+      // counter is confirmed by comparing the vectors.
+      if (out.core.size() == old_core->size() &&
+          (out.ls.changed == 0 || out.core == *old_core)) {
         // Dirty flag stayed clean: share the previous epoch's vector.
         level.core = prev->levels_[h - 1].core;
         level.reused = true;
-        level.delta = EmptyDelta();
         if (stats != nullptr) ++stats->levels_unchanged;
       } else {
-        level.delta = std::move(delta);
         level.core = std::make_shared<const std::vector<uint32_t>>(
             std::move(out.core));
       }
@@ -444,10 +387,8 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
       // Dirty flag stayed clean: share the previous epoch's vector.
       level.core = prev->levels_[h - 1].core;
       level.reused = true;
-      level.delta = EmptyDelta();
       if (stats != nullptr) ++stats->levels_unchanged;
     } else {
-      if (old_core != nullptr) level.delta = DiffCores(*old_core, r.core);
       level.core =
           std::make_shared<const std::vector<uint32_t>>(std::move(r.core));
     }
@@ -501,24 +442,6 @@ std::shared_ptr<const HCoreSnapshot> HCoreIndex::ApplyPreparedLocked(
   MutexLock lock(mu_);
   snap_ = snap;
   stats_.Add(delta);
-  return snap;
-}
-
-std::shared_ptr<const HCoreSnapshot> HCoreIndex::AdoptPrepared(
-    const std::shared_ptr<const HCoreSnapshot>& donor, size_t routed_edits) {
-  MutexLock writer(update_mu_);
-  std::shared_ptr<const HCoreSnapshot> prev = snapshot();
-  HCORE_CHECK(donor != nullptr);
-  HCORE_CHECK(donor->max_h() == options_.max_h);
-  // Adoption keeps epochs in lockstep with the donor lineage.
-  HCORE_CHECK(donor->epoch() == prev->epoch() + 1);
-  std::shared_ptr<const HCoreSnapshot> snap(
-      new HCoreSnapshot(donor->graph_, donor->levels_, donor->epoch()));
-  MutexLock lock(mu_);
-  snap_ = snap;
-  ++stats_.batches_applied;
-  ++stats_.adoptions;
-  stats_.edits_applied += routed_edits;
   return snap;
 }
 

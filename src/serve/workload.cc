@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "core/kh_core.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -289,8 +290,7 @@ WorkloadReport RunWorkload(ShardedHCoreService* service,
           (void)service->view()->TopDensestLevels(h, 4);
           break;
         case WorkloadOp::kComponent: {
-          // "My community" shape: the component of v's own innermost core,
-          // so the query always pays a real scatter-gather.
+          // "My community" shape: the component of v's own innermost core.
           const uint32_t k = std::max(1u, service->CoreOf(v, h));
           (void)service->CoreComponentOf(v, k, h);
           break;
@@ -388,84 +388,95 @@ SaturationResult SaturationSearch(ShardedHCoreService* service,
 }
 
 // ---------------------------------------------------------------------------
-// CompareToSingleIndexOracle
+// CompareToScratchOracle
 // ---------------------------------------------------------------------------
 
 namespace {
 
 template <typename T>
-bool LogMismatch(size_t so_far, const char* what, VertexId v, int h,
-                 const T& got, const T& want) {
-  if (so_far < 5) {
+void LogMismatch(const OracleMismatches& so_far, const char* what, VertexId v,
+                 int h, const T& served, const T& scratch) {
+  if (so_far.total() < 5) {
     std::fprintf(stderr,
-                 "oracle mismatch: %s(v=%u, h=%d): sharded=%llu oracle=%llu\n",
-                 what, v, h, static_cast<unsigned long long>(got),
-                 static_cast<unsigned long long>(want));
+                 "oracle mismatch: %s(v=%u, h=%d): served=%llu scratch=%llu\n",
+                 what, v, h, static_cast<unsigned long long>(served),
+                 static_cast<unsigned long long>(scratch));
   }
-  return true;
+}
+
+/// v's component of G[C_k] by BFS over the vertices with core >= k, sorted;
+/// empty when core[v] < k.
+std::vector<VertexId> ScratchComponent(const Graph& g,
+                                       const std::vector<uint32_t>& core,
+                                       VertexId v, uint32_t k) {
+  if (core[v] < k) return {};
+  std::vector<uint8_t> seen(g.num_vertices(), 0);
+  std::vector<VertexId> out = {v};
+  seen[v] = 1;
+  for (size_t i = 0; i < out.size(); ++i) {
+    for (VertexId w : g.neighbors(out[i])) {
+      if (seen[w] == 0 && core[w] >= k) {
+        seen[w] = 1;
+        out.push_back(w);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace
 
-size_t CompareToSingleIndexOracle(Graph initial,
-                                  const HCoreIndexOptions& index_options,
-                                  const ShardedHCoreService& service,
-                                  const WorkloadReport& report,
-                                  const OracleCheckOptions& check) {
-  ShardedServiceOptions oracle_options;
-  oracle_options.num_shards = 1;
-  oracle_options.index = index_options;
-  ShardedHCoreService oracle(std::move(initial), oracle_options);
-  for (const AppliedBatch& batch : report.applied_batches) {
-    (void)oracle.ApplyBatch(batch.edits);
-  }
-
-  const auto sharded = service.view();
-  const auto single = oracle.view();
-  size_t mismatches = 0;
-
-  // The replay must land on the same epoch count and the same graph, or
-  // the caller broke the "every batch recorded" contract.
-  if (sharded->service_epoch() != single->service_epoch()) {
-    std::fprintf(stderr,
-                 "oracle mismatch: epoch %llu vs %llu — applied_batches does "
-                 "not cover every batch\n",
-                 static_cast<unsigned long long>(sharded->service_epoch()),
-                 static_cast<unsigned long long>(single->service_epoch()));
-    ++mismatches;
-  }
-  if (sharded->graph().num_vertices() != single->graph().num_vertices() ||
-      sharded->graph().num_edges() != single->graph().num_edges()) {
+OracleMismatches CompareToScratchOracle(const Graph& truth,
+                                        const ShardedServiceView& view,
+                                        const OracleCheckOptions& check) {
+  OracleMismatches out;
+  const Graph& served = view.graph();
+  if (served.num_vertices() != truth.num_vertices() ||
+      served.num_edges() != truth.num_edges()) {
     std::fprintf(stderr, "oracle mismatch: graph n=%u m=%llu vs n=%u m=%llu\n",
-                 sharded->graph().num_vertices(),
-                 static_cast<unsigned long long>(sharded->graph().num_edges()),
-                 single->graph().num_vertices(),
-                 static_cast<unsigned long long>(single->graph().num_edges()));
-    return mismatches + 1;  // vertex ranges may differ; sampling is unsafe
+                 served.num_vertices(),
+                 static_cast<unsigned long long>(served.num_edges()),
+                 truth.num_vertices(),
+                 static_cast<unsigned long long>(truth.num_edges()));
+    ++out.graph;
+    // Different id ranges make every per-vertex comparison meaningless.
+    if (served.num_vertices() != truth.num_vertices()) return out;
   }
 
-  const VertexId n = sharded->graph().num_vertices();
-  const int max_h = std::min(sharded->max_h(), single->max_h());
-  Rng rng(check.seed);
+  const VertexId n = truth.num_vertices();
+  const int max_h = view.max_h();
+  std::vector<std::vector<uint32_t>> scratch(max_h);
+  for (int h = 1; h <= max_h; ++h) {
+    KhCoreOptions options;
+    options.h = h;
+    scratch[h - 1] = KhCoreDecomposition(truth, options).core;
+  }
 
-  for (size_t i = 0; i < check.spectrum_samples; ++i) {
-    const VertexId v = rng.NextIndex(n);
-    if (sharded->Spectrum(v) != single->Spectrum(v)) {
-      mismatches += LogMismatch(mismatches, "spectrum", v, 0,
-                                sharded->CoreOf(v, 1), single->CoreOf(v, 1));
+  for (VertexId v = 0; v < n; ++v) {
+    const std::vector<uint32_t> spectrum = view.Spectrum(v);
+    for (int h = 1; h <= max_h; ++h) {
+      if (spectrum[h - 1] != scratch[h - 1][v]) {
+        LogMismatch(out, "core", v, h, spectrum[h - 1], scratch[h - 1][v]);
+        ++out.spectra;
+        break;
+      }
     }
   }
+  if (n == 0) return out;
 
+  Rng rng(check.seed);
   for (size_t i = 0; i < check.component_samples; ++i) {
     const VertexId v = rng.NextIndex(n);
     const int h = 1 + static_cast<int>(rng.NextIndex(
                           static_cast<uint32_t>(max_h)));
-    const uint32_t k = std::max(1u, single->CoreOf(v, h));
-    const std::vector<VertexId> got = sharded->CoreComponentOf(v, k, h);
-    const std::vector<VertexId> want = single->CoreComponentOf(v, k, h);
+    const std::vector<uint32_t>& core = scratch[h - 1];
+    const uint32_t k = i % 2 == 0 ? std::max(1u, core[v]) : core[v] / 2;
+    const std::vector<VertexId> got = view.CoreComponentOf(v, k, h);
+    const std::vector<VertexId> want = ScratchComponent(truth, core, v, k);
     if (got != want) {
-      mismatches += LogMismatch(mismatches, "component-size", v, h,
-                                got.size(), want.size());
+      LogMismatch(out, "component-size", v, h, got.size(), want.size());
+      ++out.components;
     }
   }
 
@@ -473,20 +484,28 @@ size_t CompareToSingleIndexOracle(Graph initial,
     const VertexId v = rng.NextIndex(n);
     const int h = 1 + static_cast<int>(rng.NextIndex(
                           static_cast<uint32_t>(max_h)));
-    const auto neighbors = sharded->graph().neighbors(v);
+    const auto neighbors = truth.neighbors(v);
     std::vector<VertexId> query = {v};
     if (!neighbors.empty()) query.push_back(neighbors[0]);
-    const CommunityResult got = sharded->Community(query, h);
-    const CommunityResult want = single->Community(query, h);
+    const CommunityResult got = view.Community(query, h);
+    const CommunityResult want =
+        DistanceCocktailPartyFromCores(truth, query, h, scratch[h - 1]);
     if (got.feasible != want.feasible || got.vertices != want.vertices ||
         got.min_h_degree != want.min_h_degree ||
         got.core_level != want.core_level) {
-      mismatches += LogMismatch(mismatches, "community-size", v, h,
-                                got.vertices.size(), want.vertices.size());
+      LogMismatch(out, "community-size", v, h, got.vertices.size(),
+                  want.vertices.size());
+      ++out.communities;
     }
   }
+  return out;
+}
 
-  return mismatches;
+Graph ReplayAppliedBatches(Graph initial, const WorkloadReport& report) {
+  for (const AppliedBatch& batch : report.applied_batches) {
+    initial = initial.WithEdits(batch.edits);
+  }
+  return initial;
 }
 
 }  // namespace hcore

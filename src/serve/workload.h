@@ -1,14 +1,12 @@
-// Closed-loop workload driver for the sharded serving tier.
+// Closed-loop workload driver for the serving tier (serve/sharded_service.h).
 //
-// The ROADMAP's "millions of users" claim needs a measurement instrument,
-// not an assertion: every number so far came from open-loop single-query
-// benchmark loops. This driver models a production mix the way the LDBC /
-// SIGMOD-2014 contest analysis does (PAPERS.md): a configurable ratio of
-// point lookups (core / spectrum / densest), cross-shard traversals
-// (component / community), and sustained ApplyBatch write ingestion, with
-// Zipf-skewed key popularity — popular vertices are both read and churned
-// more, which is exactly the shape that stresses the carry/splice merge
-// maintenance.
+// A measurement instrument for the serving path: it models a production mix
+// the way the LDBC / SIGMOD-2014 contest analysis does (PAPERS.md): a
+// configurable ratio of point lookups (core / spectrum / densest),
+// traversals (component / community), and sustained ApplyBatch write
+// ingestion, with Zipf-skewed key popularity — popular vertices are both
+// read and churned more, so writes keep invalidating the lazy artifacts
+// the hottest reads depend on.
 //
 // Pieces:
 //
@@ -16,8 +14,7 @@
 //     (r+1)^-s, s = 0 degenerates to uniform). Built once (O(n) CDF
 //     table), sampled by binary search; the same Rng stream always yields
 //     the same keys. Rank r maps to vertex id r — generators in this tree
-//     grow communities in id order, so low ids are ordinary vertices, and
-//     the hash partition spreads consecutive ids across shards anyway.
+//     grow communities in id order, so low ids are ordinary vertices.
 //
 //   * LatencyHistogram — bounded log-spaced buckets (HDR-style: values
 //     below 2^kSubBucketBits nanoseconds get exact buckets, every later
@@ -27,14 +24,14 @@
 //     EXACT-RANK at bucket resolution: PercentileNs(p) returns the lower
 //     bound of the bucket containing the nearest-rank sample — the sample
 //     at 0-based index NearestRankIndex(p, count) of the sorted sequence —
-//     never an interpolated or rank-shifted value. (The previous ad-hoc
-//     floor(p*n) indexing in bench_serve_scatter was one rank high for
-//     most n; NearestRankIndex is the shared, tested replacement.)
+//     never an interpolated or rank-shifted value. (The ad-hoc floor(p*n)
+//     indexing it replaced was one rank high for most n; NearestRankIndex
+//     is the shared, tested formula.)
 //
 //   * RunWorkload — N closed-loop client threads on a util/thread_pool:
 //     each client draws an op class from the mix, a key from the sampler,
 //     issues the query against the live ShardedHCoreService (write ops are
-//     real ApplyBatch calls mutating the tier under the readers), and
+//     real ApplyBatch calls mutating the service under the readers), and
 //     records the op latency in its own per-class histograms; workers are
 //     merged under a mutex at the end. Closed-loop means each client
 //     issues its next op only after the previous one returns, so QPS is
@@ -44,13 +41,14 @@
 //     improving by more than 5%, reporting the saturation concurrency and
 //     peak QPS (total op budget is held roughly constant across steps).
 //
-//   * CompareToSingleIndexOracle — the differential check: RunWorkload
-//     with collect_applied_batches records every effective write batch in
-//     publish order; the check replays them into a fresh single-shard
-//     service over the same initial graph and compares sampled spectra,
-//     components, and communities between the two final views. Any
-//     mismatch means the sharded tier under concurrent mixed load diverged
-//     from the single-index semantics.
+//   * CompareToScratchOracle — the differential check: RunWorkload with
+//     collect_applied_batches records every effective write batch in
+//     publish order; ReplayAppliedBatches applies them to the initial graph,
+//     and the oracle decomposes that graph from scratch and compares every
+//     spectrum plus sampled components and communities of the service's
+//     final view against answers computed from the scratch cores. Any
+//     mismatch means the maintained index under concurrent mixed load
+//     diverged from a from-scratch decomposition.
 
 #ifndef HCORE_SERVE_WORKLOAD_H_
 #define HCORE_SERVE_WORKLOAD_H_
@@ -152,11 +150,11 @@ class LatencyHistogram {
 
 /// The operation classes a workload mixes.
 enum class WorkloadOp : int {
-  kCore = 0,       // point: core_h(v) on the owner shard
+  kCore = 0,       // point: core_h(v)
   kSpectrum,       // point: full spectrum of v
   kDensest,        // point: densest-level table at a random h
-  kComponent,      // cross-shard: component of v's own innermost core
-  kCommunity,      // cross-shard: cocktail-party community of v + neighbors
+  kComponent,      // traversal: component of v's own innermost core
+  kCommunity,      // traversal: cocktail-party community of v + neighbors
   kWrite,          // ApplyBatch of write_batch_edits churn edits
 };
 inline constexpr int kNumWorkloadOps = 6;
@@ -197,7 +195,7 @@ struct WorkloadOptions {
   int community_size = 3;
   uint64_t seed = 1;
   /// Record every effective write batch (publish order + epoch) in the
-  /// report, for CompareToSingleIndexOracle. Serializes write ops through
+  /// report, for ReplayAppliedBatches. Serializes write ops through
   /// a driver mutex so the recorded order is exact.
   bool collect_applied_batches = false;
 };
@@ -262,25 +260,38 @@ SaturationResult SaturationSearch(ShardedHCoreService* service,
 
 /// Sampling knobs for the oracle differential.
 struct OracleCheckOptions {
-  size_t spectrum_samples = 256;
   size_t component_samples = 48;
   size_t community_samples = 12;
   uint64_t seed = 12345;
 };
 
-/// Replays `report.applied_batches` (which must hold EVERY batch the
-/// service has applied since construction — run exactly one collecting
-/// RunWorkload against a fresh service, with no other writers) into a
-/// single-shard oracle built over `initial` with the same index options,
-/// then compares sampled spectra, core components, and communities between
-/// the two final views. Returns the number of mismatching answers (0 =
-/// the sharded tier agreed with the single-index semantics everywhere);
-/// the first few mismatches are described on stderr.
-size_t CompareToSingleIndexOracle(Graph initial,
-                                  const HCoreIndexOptions& index_options,
-                                  const ShardedHCoreService& service,
-                                  const WorkloadReport& report,
-                                  const OracleCheckOptions& check = {});
+/// Mismatches found by one oracle comparison, by answer class.
+struct OracleMismatches {
+  size_t graph = 0;        // vertex or edge count differs
+  size_t spectra = 0;      // vertices whose spectrum differs
+  size_t components = 0;   // sampled core components that differ
+  size_t communities = 0;  // sampled communities that differ
+
+  size_t total() const { return graph + spectra + components + communities; }
+};
+
+/// The from-scratch answer oracle. Decomposes `truth` afresh at every level
+/// h in [1, view.max_h()] (KhCoreDecomposition) and checks `view` against
+/// it: the spectrum of every vertex; sampled core components (k = the
+/// vertex's own scratch core or half of it) against a BFS over G[C_k] of
+/// the scratch cores; and sampled communities against
+/// DistanceCocktailPartyFromCores on the scratch cores. No index state is
+/// consulted on the oracle side. A vertex-count mismatch stops the
+/// comparison (the id ranges differ). The first few mismatches are
+/// described on stderr.
+OracleMismatches CompareToScratchOracle(const Graph& truth,
+                                        const ShardedServiceView& view,
+                                        const OracleCheckOptions& check = {});
+
+/// `initial` with every batch of `report.applied_batches` applied in epoch
+/// order — the graph a service built over `initial` must hold after one
+/// collecting RunWorkload with no other writers.
+Graph ReplayAppliedBatches(Graph initial, const WorkloadReport& report);
 
 }  // namespace hcore
 

@@ -10,8 +10,8 @@
 //   * GUARDED_BY(mu) on a data member means reads and writes require `mu`.
 //   * PT_GUARDED_BY(mu) guards the pointee of a pointer member.
 //   * REQUIRES(mu) on a function means the caller must already hold `mu`;
-//     the capability may be a member, a parameter (the lru_cache.h pattern,
-//     where a generic container names the caller's lock), or a ThreadRole.
+//     the capability may be a member, a parameter (a generic container
+//     naming its caller's lock), or a ThreadRole.
 //   * EXCLUDES(mu) means the caller must NOT hold `mu` (anti-deadlock).
 //   * ACQUIRE / RELEASE / TRY_ACQUIRE annotate lock-management functions.
 //   * ASSERT_CAPABILITY tells the analysis a capability is held without

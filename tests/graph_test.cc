@@ -141,6 +141,41 @@ TEST(GraphIo, RejectsMalformedLines) {
   EXPECT_FALSE(io::ParseEdgeList("42\n").ok());
 }
 
+TEST(GraphIo, RejectsIdsAboveUint64Max) {
+  // 2^64 used to wrap to 0 and silently merge vertex 7's neighbor into
+  // vertex 0, loading this 6-id file with n = 5.
+  Result<Graph> r = io::ParseEdgeList("5 6\n7 18446744073709551616\n0 9\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(),
+            "edge list: target id exceeds 2^64-1 at line 2");
+  EXPECT_FALSE(io::ParseEdgeList("99999999999999999999999 1\n").ok());
+  // The largest representable id still parses.
+  Result<Graph> max = io::ParseEdgeList("18446744073709551615 0\n");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max.value().num_vertices(), 2u);
+  EXPECT_EQ(max.value().num_edges(), 1u);
+}
+
+TEST(GraphIo, RejectsTrailingGarbageAfterAnId) {
+  Result<Graph> r = io::ParseEdgeList("2 3\n0 1x\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(),
+            "edge list: target id has trailing characters at line 2");
+  EXPECT_EQ(io::ParseEdgeList("0x1 2\n").status().message(),
+            "edge list: source id has trailing characters at line 1");
+  EXPECT_FALSE(io::ParseEdgeList("0,1\n").ok());
+  EXPECT_EQ(io::ParseEdgeList("1 x\n").status().message(),
+            "edge list: target id is missing or not a number at line 1");
+}
+
+TEST(GraphIo, AcceptsExtraWhitespaceSeparatedColumns) {
+  // KONECT-style weight and timestamp columns, tabs, and CRLF endings.
+  Result<Graph> r = io::ParseEdgeList("0 1 0.5 1234\n1\t2\t1\r\n2 0\r\n");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().num_vertices(), 3u);
+  EXPECT_EQ(r.value().num_edges(), 3u);
+}
+
 TEST(GraphIo, WriteDotProducesValidDotText) {
   Graph g = gen::Path(3);
   std::string path = ::testing::TempDir() + "/hcore_dot_test.dot";

@@ -1,14 +1,16 @@
-// Differential equivalence suite for the sharded serving tier: every query
-// type on ShardedHCoreService{2,3,8 shards} must equal the single HCoreIndex
-// oracle — cores, spectra, degeneracies, densest-level tables, cross-shard
-// scatter-gather components and communities — on four graph families (BA,
-// clustered, disconnected, star-heavy), both on the initial build and after
-// mixed ApplyBatch sequences. Also locks the tier invariants: lockstep
-// epoch vectors, exact incremental cut-edge maintenance, per-shard counter
-// balance, and stats reset.
+// Differential suite for the serving tier: every query type on
+// ShardedHCoreService — cores, spectra, degeneracies, densest-level tables,
+// components, and communities — must equal answers computed from a
+// from-scratch decomposition of the same graph (CompareToScratchOracle plus
+// direct checks below), on four graph families (BA, clustered,
+// disconnected, star-heavy), both on the initial build and after mixed
+// ApplyBatch sequences, and after concurrent writers group-commit. Also
+// checks the oracle itself (it must flag a graph one edit off), the
+// counters, page-sharing accounting, and stats reset.
 
 #include "serve/sharded_service.h"
 
+#include <algorithm>
 #include <functional>
 #include <set>
 #include <string>
@@ -19,16 +21,17 @@
 #include <gtest/gtest.h>
 
 #include "apps/community.h"
+#include "core/kh_core.h"
 #include "graph/generators.h"
-#include "graph/partition.h"
-#include "index/hcore_index.h"
+#include "serve/workload.h"
 #include "test_util.h"
 
 namespace hcore {
 namespace {
 
+using ::hcore::testing::ReferenceComponent;
+
 constexpr int kMaxH = 3;
-const int kShardCounts[] = {2, 3, 8};
 
 struct Family {
   std::string name;
@@ -61,93 +64,77 @@ std::vector<Family> Families() {
   };
 }
 
-HCoreIndexOptions IndexOptions() {
-  HCoreIndexOptions opts;
-  opts.max_h = kMaxH;
-  return opts;
-}
-
-ShardedServiceOptions ServiceOptions(int shards) {
+ShardedServiceOptions ServiceOptions() {
   ShardedServiceOptions opts;
-  opts.num_shards = shards;
-  opts.index = IndexOptions();
+  opts.index.max_h = kMaxH;
   return opts;
 }
 
-/// Every query type against the single-index oracle snapshot.
-void AssertEquivalent(const ShardedHCoreService& service,
-                      const HCoreIndex& oracle, const std::string& label) {
+std::vector<uint32_t> ScratchCores(const Graph& g, int h) {
+  KhCoreOptions opts;
+  opts.h = h;
+  return KhCoreDecomposition(g, opts).core;
+}
+
+/// Every query type of the current view against answers derived from a
+/// from-scratch decomposition of `truth`: the oracle (every spectrum, its
+/// sampled components and communities), then exhaustive checks — the
+/// degeneracy, the densest-level rows recounted from the scratch cores,
+/// components of every third vertex across the whole level range (k = 0
+/// is v's component of G; k = core + 1 is empty), and multi-vertex
+/// community queries, including far pairs that exercise the infeasible
+/// path on disconnected inputs.
+void AssertMatchesScratch(const ShardedHCoreService& service,
+                          const Graph& truth, uint64_t seed,
+                          const std::string& label) {
   auto view = service.view();
-  auto snap = oracle.snapshot();
-  const VertexId n = snap->graph().num_vertices();
-  ASSERT_EQ(view->graph().num_vertices(), n) << label;
-  ASSERT_EQ(view->graph().num_edges(), snap->graph().num_edges()) << label;
+  OracleCheckOptions check;
+  check.seed = seed;
+  const OracleMismatches mismatches =
+      CompareToScratchOracle(truth, *view, check);
+  ASSERT_EQ(mismatches.total(), 0u)
+      << label << ": graph=" << mismatches.graph
+      << " spectra=" << mismatches.spectra
+      << " components=" << mismatches.components
+      << " communities=" << mismatches.communities;
 
-  // Epoch vector: one entry per shard, all pinned to the same batch.
-  ASSERT_EQ(view->shard_epochs().size(),
-            static_cast<size_t>(service.num_shards()));
-  for (uint64_t e : view->shard_epochs()) {
-    ASSERT_EQ(e, view->service_epoch()) << label;
-  }
-
+  const VertexId n = truth.num_vertices();
+  const auto edges = truth.Edges();
+  Rng rng(seed);
   for (int h = 1; h <= kMaxH; ++h) {
-    ASSERT_EQ(view->Degeneracy(h), snap->Degeneracy(h)) << label << " h=" << h;
-    for (VertexId v = 0; v < n; ++v) {
-      ASSERT_EQ(view->CoreOf(v, h), snap->CoreOf(v, h))
-          << label << " h=" << h << " v=" << v;
+    const std::vector<uint32_t> core = ScratchCores(truth, h);
+    const uint32_t degeneracy =
+        core.empty() ? 0 : *std::max_element(core.begin(), core.end());
+    ASSERT_EQ(view->Degeneracy(h), degeneracy) << label << " h=" << h;
+    for (const auto& row : view->TopDensestLevels(h, 5)) {
+      uint32_t vertices = 0;
+      for (uint32_t c : core) vertices += c >= row.k ? 1 : 0;
+      uint64_t induced = 0;
+      for (const auto& [u, v] : edges) {
+        induced += std::min(core[u], core[v]) >= row.k ? 1 : 0;
+      }
+      EXPECT_EQ(row.vertices, vertices) << label << " h=" << h << " k="
+                                        << row.k;
+      EXPECT_EQ(row.edges, induced) << label << " h=" << h << " k=" << row.k;
     }
-    // Densest-level tables, field for field.
-    auto sharded_rows = view->TopDensestLevels(h, 5);
-    auto oracle_rows = snap->TopDensestLevels(h, 5);
-    ASSERT_EQ(sharded_rows.size(), oracle_rows.size()) << label << " h=" << h;
-    for (size_t i = 0; i < sharded_rows.size(); ++i) {
-      EXPECT_EQ(sharded_rows[i].k, oracle_rows[i].k) << label;
-      EXPECT_EQ(sharded_rows[i].vertices, oracle_rows[i].vertices) << label;
-      EXPECT_EQ(sharded_rows[i].edges, oracle_rows[i].edges) << label;
-      EXPECT_DOUBLE_EQ(sharded_rows[i].density, oracle_rows[i].density)
-          << label;
-    }
-    // Scatter-gather components vs the oracle's hierarchy walk, across the
-    // whole level range including k = 0 (components of G) and the empty
-    // answer past the vertex's own core.
     for (VertexId v = 0; v < n; v += 3) {
-      const uint32_t core = snap->CoreOf(v, h);
-      for (uint32_t k : {0u, 1u, core / 2, core, core + 1}) {
+      for (uint32_t k : {0u, 1u, core[v] / 2, core[v], core[v] + 1}) {
         ASSERT_EQ(view->CoreComponentOf(v, k, h),
-                  snap->CoreComponentOf(v, k, h))
+                  ReferenceComponent(truth, core, v, k))
             << label << " h=" << h << " v=" << v << " k=" << k;
       }
     }
-  }
-  for (VertexId v = 0; v < n; v += 7) {
-    ASSERT_EQ(view->Spectrum(v), snap->Spectrum(v)) << label << " v=" << v;
-  }
-}
-
-/// Scatter-gather community vs the from-cores oracle on sampled queries.
-void AssertCommunitiesEquivalent(const ShardedHCoreService& service,
-                                 const HCoreIndex& oracle, uint64_t seed,
-                                 const std::string& label) {
-  auto view = service.view();
-  auto snap = oracle.snapshot();
-  const VertexId n = snap->graph().num_vertices();
-  Rng rng(seed);
-  for (int h = 1; h <= kMaxH; ++h) {
     for (int trial = 0; trial < 8; ++trial) {
       std::vector<VertexId> query{rng.NextIndex(n)};
-      // Mix of nearby pairs (same component likely) and far pairs that
-      // exercise the infeasible path on disconnected inputs.
       if (trial % 2 == 0) query.push_back(rng.NextIndex(n));
       if (trial % 3 == 0) query.push_back(rng.NextIndex(n));
-      CommunityResult sharded = view->Community(query, h);
-      CommunityResult expected = DistanceCocktailPartyFromCores(
-          snap->graph(), query, h, snap->Cores(h));
-      ASSERT_EQ(sharded.feasible, expected.feasible) << label << " h=" << h;
-      ASSERT_EQ(sharded.vertices, expected.vertices) << label << " h=" << h;
-      ASSERT_EQ(sharded.min_h_degree, expected.min_h_degree)
-          << label << " h=" << h;
-      ASSERT_EQ(sharded.core_level, expected.core_level) << label
-                                                         << " h=" << h;
+      const CommunityResult got = view->Community(query, h);
+      const CommunityResult want =
+          DistanceCocktailPartyFromCores(truth, query, h, core);
+      ASSERT_EQ(got.feasible, want.feasible) << label << " h=" << h;
+      ASSERT_EQ(got.vertices, want.vertices) << label << " h=" << h;
+      ASSERT_EQ(got.min_h_degree, want.min_h_degree) << label << " h=" << h;
+      ASSERT_EQ(got.core_level, want.core_level) << label << " h=" << h;
     }
   }
 }
@@ -170,42 +157,27 @@ std::vector<EdgeEdit> MixedBatch(const Graph& g, Rng* rng, int size) {
   return batch;
 }
 
-TEST(ServeDifferential, AllQueryTypesMatchOracleAcrossFamiliesAndShards) {
+TEST(ServeDifferential, AllQueryTypesMatchScratchOracleAcrossFamilies) {
   for (const Family& family : Families()) {
-    HCoreIndex oracle(family.make(), IndexOptions());
-    for (int shards : kShardCounts) {
-      ShardedHCoreService service(family.make(), ServiceOptions(shards));
-      const std::string label = family.name + "/shards" +
-                                std::to_string(shards);
-      AssertEquivalent(service, oracle, label);
-      if (::testing::Test::HasFatalFailure()) return;
-      AssertCommunitiesEquivalent(service, oracle, 100 + shards, label);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
+    ShardedHCoreService service(family.make(), ServiceOptions());
+    AssertMatchesScratch(service, family.make(), 101, family.name);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST(ServeDifferential, EquivalenceHoldsAfterMixedApplyBatchSequences) {
+TEST(ServeDifferential, ScratchOracleHoldsAfterMixedApplyBatchSequences) {
   for (const Family& family : Families()) {
-    for (int shards : kShardCounts) {
-      HCoreIndex oracle(family.make(), IndexOptions());
-      ShardedHCoreService service(family.make(), ServiceOptions(shards));
-      Rng rng(31 * shards + 7);
-      for (int round = 0; round < 4; ++round) {
-        auto batch =
-            MixedBatch(service.view()->graph(), &rng, 2 + round * 2);
-        const size_t oracle_applied = oracle.ApplyBatch(batch);
-        const size_t sharded_applied = service.ApplyBatch(batch);
-        ASSERT_EQ(sharded_applied, oracle_applied)
-            << family.name << " shards=" << shards << " round=" << round;
-        const std::string label = family.name + "/shards" +
-                                  std::to_string(shards) + "/round" +
-                                  std::to_string(round);
-        AssertEquivalent(service, oracle, label);
-        if (::testing::Test::HasFatalFailure()) return;
-      }
-      AssertCommunitiesEquivalent(service, oracle, 500 + shards,
-                                  family.name + "/post-batches");
+    Graph truth = family.make();
+    ShardedHCoreService service(family.make(), ServiceOptions());
+    Rng rng(31);
+    for (int round = 0; round < 4; ++round) {
+      auto batch = MixedBatch(truth, &rng, 2 + round * 2);
+      EdgeEditSummary summary;
+      truth = truth.WithEdits(batch, &summary);
+      ASSERT_EQ(service.ApplyBatch(batch), summary.applied())
+          << family.name << " round=" << round;
+      AssertMatchesScratch(service, truth, 500 + round,
+                           family.name + "/round" + std::to_string(round));
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
@@ -213,52 +185,59 @@ TEST(ServeDifferential, EquivalenceHoldsAfterMixedApplyBatchSequences) {
 
 TEST(ServeDifferential, DisconnectedComponentsMergeExactlyWhenEditsBridge) {
   // Start from three disjoint blocks; insert bridges one at a time and
-  // check the scatter-gather component of a block-0 vertex matches the
-  // oracle as the global component grows across shard boundaries.
-  auto make = Families()[2].make;
-  for (int shards : kShardCounts) {
-    HCoreIndex oracle(make(), IndexOptions());
-    ShardedHCoreService service(make(), ServiceOptions(shards));
-    const std::vector<EdgeEdit> bridges[] = {
-        {EdgeEdit::Insert(0, 45)},   // block 0 <-> block 1
-        {EdgeEdit::Insert(50, 85)},  // block 1 <-> block 2
-    };
-    for (const auto& batch : bridges) {
-      ASSERT_EQ(service.ApplyBatch(batch), oracle.ApplyBatch(batch));
-      auto view = service.view();
-      auto snap = oracle.snapshot();
-      for (int h = 1; h <= kMaxH; ++h) {
-        for (VertexId v : {0u, 45u, 85u}) {
-          ASSERT_EQ(view->CoreComponentOf(v, 0, h),
-                    snap->CoreComponentOf(v, 0, h))
-              << "shards=" << shards << " h=" << h << " v=" << v;
-        }
+  // check the component of a vertex in each block against a BFS of the
+  // whole graph as the global component grows.
+  Graph truth = Families()[2].make();
+  ShardedHCoreService service(Graph(truth), ServiceOptions());
+  const std::vector<EdgeEdit> bridges[] = {
+      {EdgeEdit::Insert(0, 45)},   // block 0 <-> block 1
+      {EdgeEdit::Insert(50, 85)},  // block 1 <-> block 2
+  };
+  for (const auto& batch : bridges) {
+    ASSERT_EQ(service.ApplyBatch(batch), 1u);
+    truth = truth.WithEdits(batch);
+    auto view = service.view();
+    const std::vector<uint32_t> zero(truth.num_vertices(), 0);
+    for (int h = 1; h <= kMaxH; ++h) {
+      for (VertexId v : {0u, 45u, 85u}) {
+        ASSERT_EQ(view->CoreComponentOf(v, 0, h),
+                  ReferenceComponent(truth, zero, v, 0))
+            << "h=" << h << " v=" << v;
       }
     }
   }
 }
 
-TEST(ServeTier, CutEdgeSetIsMaintainedExactlyAcrossBatches) {
-  Rng rng(91);
-  Graph g = gen::CliqueOverlay(120, 60, 3, 10, 2.0, &rng);
-  for (int shards : kShardCounts) {
-    ShardedHCoreService service(Graph(g), ServiceOptions(shards));
-    Rng edit_rng(7 * shards);
-    for (int round = 0; round < 5; ++round) {
-      service.ApplyBatch(MixedBatch(service.view()->graph(), &edit_rng, 5));
-      auto view = service.view();
-      // The spliced set must equal a from-scratch extraction every epoch.
-      ASSERT_EQ(view->cut_edges(),
-                ExtractCutEdges(view->graph(), view->partition()))
-          << "shards=" << shards << " round=" << round;
-    }
+TEST(ServeOracle, FlagsAnswersServedFromAGraphOneEditOff) {
+  // The oracle must not be vacuous: handed the truth graph with one edit
+  // the service never saw, it has to report a mismatch — and one in the
+  // answers, not only in the edge count. The edit is the first edge
+  // deletion that changes some h=1 core.
+  Rng rng(5);
+  const Graph g = gen::CliqueOverlay(60, 30, 2, 10, 2.0, &rng);
+  ShardedHCoreService service(Graph(g), ServiceOptions());
+  const std::vector<uint32_t> core = ScratchCores(g, 1);
+  Graph off_by_one;
+  for (const auto& [u, v] : g.Edges()) {
+    const EdgeEdit edit = EdgeEdit::Delete(u, v);
+    off_by_one = g.WithEdits({&edit, 1});
+    if (ScratchCores(off_by_one, 1) != core) break;
   }
+  ASSERT_NE(ScratchCores(off_by_one, 1), core);
+
+  const OracleMismatches on_truth = CompareToScratchOracle(g, *service.view());
+  EXPECT_EQ(on_truth.total(), 0u);
+  const OracleMismatches off =
+      CompareToScratchOracle(off_by_one, *service.view());
+  EXPECT_GE(off.total(), 1u);
+  EXPECT_EQ(off.graph, 1u);
+  EXPECT_GE(off.spectra, 1u);
 }
 
-TEST(ServeTier, ShardCountersBalanceAndStatsResetZeroes) {
+TEST(ServeTier, CountersTrackBatchesAndStatsResetZeroes) {
   Rng rng(17);
   Graph g = gen::BarabasiAlbert(90, 3, &rng);
-  ShardedHCoreService service(Graph(g), ServiceOptions(3));
+  ShardedHCoreService service(Graph(g), ServiceOptions());
 
   Rng edit_rng(3);
   size_t effective_batches = 0;
@@ -272,216 +251,35 @@ TEST(ServeTier, ShardCountersBalanceAndStatsResetZeroes) {
     }
   }
   ASSERT_GT(effective_batches, 0u);
-  (void)service.CoreComponentOf(0, 1, 2);
-  (void)service.Community({0, 1}, 2);
+  EXPECT_EQ(service.view()->service_epoch(), effective_batches);
 
-  ShardedServiceStats stats = service.stats();
-  ASSERT_EQ(stats.shard.size(), 3u);
-  // Prepare-once/adopt-everywhere: the primary (shard 0) pays the page
-  // splice and per-level repair exactly once per effective batch; replicas
-  // adopt the published epoch by pointer and do no decomposition work.
-  const HCoreIndexStats& primary = stats.shard[0];
-  EXPECT_EQ(primary.batches_applied, effective_batches);
-  EXPECT_EQ(primary.csr_rebuilds, effective_batches);
-  EXPECT_EQ(primary.adoptions, 0u);
-  EXPECT_EQ(primary.edits_applied, effective_edits);
-  EXPECT_EQ(primary.localized_updates + primary.fallback_repeels,
+  const ShardedServiceStats stats = service.stats();
+  // One page splice and one per-level repair per effective batch.
+  EXPECT_EQ(stats.index.batches_applied, effective_batches);
+  EXPECT_EQ(stats.index.csr_rebuilds, effective_batches);
+  EXPECT_EQ(stats.index.edits_applied, effective_edits);
+  EXPECT_EQ(stats.index.localized_updates + stats.index.fallback_repeels,
             effective_batches * kMaxH);
-  size_t routed_total = 0;
-  for (size_t shard = 1; shard < stats.shard.size(); ++shard) {
-    const HCoreIndexStats& s = stats.shard[shard];
-    EXPECT_EQ(s.batches_applied, effective_batches);
-    EXPECT_EQ(s.adoptions, effective_batches);
-    EXPECT_EQ(s.csr_rebuilds, 0u);
-    EXPECT_EQ(s.localized_updates + s.fallback_repeels, 0u);
-    // Replicas are attributed only the edits incident to vertices they
-    // own, so each sees at most the batch total.
-    EXPECT_LE(s.edits_applied, effective_edits);
-    routed_total += s.edits_applied;
-  }
-  // Each effective edit touches at most two owners, so across the replicas
-  // the owned-incident attribution never exceeds twice the batch total.
-  EXPECT_LE(routed_total, 2 * effective_edits);
   // COW accounting ran each epoch. This 90-vertex graph fits in a single
   // page, so every effective batch copies it; sharing across epochs is
   // exercised on multi-page graphs in PageSharingAcrossEpochs.
   EXPECT_EQ(stats.memory.pages_copied, effective_batches);
   EXPECT_GT(stats.memory.resident_bytes, 0u);
   EXPECT_GT(stats.memory.graph_pages, 0u);
-  EXPECT_EQ(stats.gather.component_queries, 1u);
-  EXPECT_EQ(stats.gather.community_queries, 1u);
-  EXPECT_GT(stats.gather.shard_scatters, 0u);
-  EXPECT_GT(stats.gather.cut_edges_scanned, 0u);
-  // Counter balance: every counted merge construction (miss, splice,
-  // premerge) consults exactly num_shards summaries, each of which is a
-  // scatter hit or a fresh scatter; carries consult none.
-  EXPECT_EQ(stats.gather.scatter_hits + stats.gather.shard_scatters,
-            3 * (stats.gather.merge_misses + stats.gather.merges_spliced +
-                 stats.gather.merges_premerged));
 
   const uint64_t epoch_before = service.view()->service_epoch();
   service.ResetStats();
-  ShardedServiceStats zeroed = service.stats();
-  for (const HCoreIndexStats& s : zeroed.shard) {
-    EXPECT_EQ(s.batches_applied, 0u);
-    EXPECT_EQ(s.edits_applied, 0u);
-    EXPECT_EQ(s.decomposition.visited_vertices, 0u);
-  }
-  EXPECT_EQ(zeroed.gather.component_queries, 0u);
-  EXPECT_EQ(zeroed.gather.shard_scatters, 0u);
+  const ShardedServiceStats zeroed = service.stats();
+  EXPECT_EQ(zeroed.index.batches_applied, 0u);
+  EXPECT_EQ(zeroed.index.edits_applied, 0u);
+  EXPECT_EQ(zeroed.index.decomposition.visited_vertices, 0u);
   // Epoch page-sharing counters reset; resident bytes are a gauge of the
   // currently published graph and stay live.
   EXPECT_EQ(zeroed.memory.pages_shared, 0u);
   EXPECT_EQ(zeroed.memory.pages_copied, 0u);
   EXPECT_GT(zeroed.memory.resident_bytes, 0u);
-  // Reset is a counter operation only: the published view and its epoch
-  // vector are untouched.
+  // Reset is a counter operation only: the published view is untouched.
   EXPECT_EQ(service.view()->service_epoch(), epoch_before);
-}
-
-/// The carried-merge differential: one service runs the incremental
-/// maintenance (carry/splice/premerge per `budget`), a control service has
-/// it disabled (negative budget = every view rebuilds from scratch), and a
-/// single HCoreIndex is the oracle. After every batch of a mixed sequence,
-/// warm queries on the carried service — which are answered from carried,
-/// spliced, or pre-merged entries — must byte-equal both controls. Queries
-/// BEFORE each batch populate the caches the maintenance then carries.
-void RunCarriedVsScratch(double budget, size_t premerge, int rounds) {
-  for (const Family& family : Families()) {
-    for (int shards : kShardCounts) {
-      HCoreIndex oracle(family.make(), IndexOptions());
-      ShardedServiceOptions carried_opts = ServiceOptions(shards);
-      carried_opts.carry_budget_fraction = budget;
-      carried_opts.hot_premerge = premerge;
-      ShardedServiceOptions scratch_opts = ServiceOptions(shards);
-      scratch_opts.carry_budget_fraction = -1.0;
-      scratch_opts.hot_premerge = 0;
-      ShardedHCoreService carried(family.make(), carried_opts);
-      ShardedHCoreService scratch(family.make(), scratch_opts);
-      Rng rng(97 * shards + static_cast<uint64_t>(budget * 8) + 3);
-      const std::string label = family.name + "/shards" +
-                                std::to_string(shards) + "/budget" +
-                                std::to_string(budget);
-      auto probe = [&](const std::string& tag) {
-        auto view = carried.view();
-        auto control = scratch.view();
-        auto snap = oracle.snapshot();
-        const VertexId n = view->graph().num_vertices();
-        for (int h = 1; h <= kMaxH; ++h) {
-          for (VertexId v = 0; v < n; v += 5) {
-            const uint32_t core = snap->CoreOf(v, h);
-            for (uint32_t k : {0u, core / 2, core}) {
-              const auto got = carried.CoreComponentOf(v, k, h);
-              ASSERT_EQ(got, control->CoreComponentOf(v, k, h))
-                  << label << tag << " h=" << h << " v=" << v << " k=" << k;
-              ASSERT_EQ(got, snap->CoreComponentOf(v, k, h))
-                  << label << tag << " h=" << h << " v=" << v << " k=" << k;
-            }
-          }
-        }
-      };
-      probe("/initial");
-      if (::testing::Test::HasFatalFailure()) return;
-      for (int round = 0; round < rounds; ++round) {
-        auto batch = MixedBatch(carried.view()->graph(), &rng, 3 + round);
-        const size_t applied = oracle.ApplyBatch(batch);
-        ASSERT_EQ(carried.ApplyBatch(batch), applied) << label;
-        ASSERT_EQ(scratch.ApplyBatch(batch), applied) << label;
-        probe("/round" + std::to_string(round));
-        if (::testing::Test::HasFatalFailure()) return;
-      }
-    }
-  }
-}
-
-TEST(ServeIncremental, CarriedMergesMatchScratchAndOracleDefaultBudget) {
-  RunCarriedVsScratch(/*budget=*/0.5, /*premerge=*/4, /*rounds=*/3);
-}
-
-TEST(ServeIncremental, SpliceForcedOnMatchesScratchAndOracle) {
-  // Budget 1.0: every stale merge is spliced, never dropped — the splice
-  // path runs on effectively every cached key every batch.
-  RunCarriedVsScratch(/*budget=*/1.0, /*premerge=*/8, /*rounds=*/3);
-}
-
-TEST(ServeIncremental, FallbackForcedOnMatchesScratchAndOracle) {
-  // Budget 0.0: any merge with a stale summary is dropped and rebuilt on
-  // demand — the fallback path, with only exact carries surviving.
-  RunCarriedVsScratch(/*budget=*/0.0, /*premerge=*/0, /*rounds=*/3);
-}
-
-TEST(ServeIncremental, CounterBalanceHoldsUnderCarrySpliceAndPremerge) {
-  Rng rng(23);
-  Graph g = gen::CliqueOverlay(140, 60, 3, 10, 2.0, &rng);
-  ShardedServiceOptions opts = ServiceOptions(3);
-  opts.hot_premerge = 4;
-  ShardedHCoreService service(Graph(g), opts);
-  Rng edit_rng(29);
-  for (int round = 0; round < 5; ++round) {
-    // Queries first, so the publish-time maintenance has entries to carry
-    // and hot counters to rank.
-    for (int h = 1; h <= kMaxH; ++h) {
-      (void)service.CoreComponentOf(3 * static_cast<VertexId>(round), 0, h);
-      (void)service.CoreComponentOf(1, 1, h);
-    }
-    (void)service.Community({0, 2}, 2);
-    service.ApplyBatch(MixedBatch(service.view()->graph(), &edit_rng, 4));
-  }
-  const ScatterGatherStats gather = service.stats().gather;
-  EXPECT_EQ(gather.scatter_hits + gather.shard_scatters,
-            3 * (gather.merge_misses + gather.merges_spliced +
-                 gather.merges_premerged));
-  // The incremental machinery actually engaged: merges survived into
-  // successor views (carried or spliced) and repeat queries hit.
-  EXPECT_GT(gather.merges_carried + gather.merges_spliced, 0u);
-  EXPECT_GT(gather.merge_hits, 0u);
-}
-
-TEST(ServeIncremental, HotKeysArePreMergedSoPostBatchQueriesHit) {
-  Rng rng(41);
-  Graph g = gen::CliqueOverlay(120, 50, 3, 10, 2.0, &rng);
-  ShardedServiceOptions opts = ServiceOptions(3);
-  opts.hot_premerge = 8;
-  ShardedHCoreService service(Graph(g), opts);
-  // Make (h=2, k=0) hot: well past the halving decay.
-  for (int i = 0; i < 8; ++i) (void)service.CoreComponentOf(0, 0, 2);
-  // A guaranteed-effective mixed batch: grow by one vertex, delete a real
-  // edge.
-  const auto victim = g.Edges().front();
-  const std::vector<EdgeEdit> batch{
-      EdgeEdit::Insert(0, g.num_vertices()),
-      EdgeEdit::Delete(victim.first, victim.second)};
-  ASSERT_EQ(service.ApplyBatch(batch), 2u);
-  const ScatterGatherStats before = service.stats().gather;
-  // The publish either carried/spliced the entry or pre-merged it — either
-  // way the first post-batch query must be a cache hit, not a build.
-  EXPECT_GT(before.merges_carried + before.merges_spliced +
-                before.merges_premerged,
-            0u);
-  (void)service.CoreComponentOf(0, 0, 2);
-  const ScatterGatherStats after = service.stats().gather;
-  EXPECT_EQ(after.merge_hits, before.merge_hits + 1);
-  EXPECT_EQ(after.merge_misses, before.merge_misses);
-}
-
-TEST(ServeIncremental, MergeCacheCapIsConfigurableAndEvictsLru) {
-  Rng rng(59);
-  Graph g = gen::BarabasiAlbert(100, 3, &rng);
-  ShardedServiceOptions opts = ServiceOptions(2);
-  opts.merge_cache_cap = 2;
-  opts.hot_premerge = 0;
-  ShardedHCoreService service(Graph(g), opts);
-  // Three distinct keys through a cap-2 cache: (1,0) (2,0) (3,0) leaves
-  // {(2,0), (3,0)}; re-querying (1,0) misses and evicts the LRU (2,0);
-  // re-querying (3,0) still hits — exact LRU, not FIFO or key order.
-  (void)service.CoreComponentOf(0, 0, 1);
-  (void)service.CoreComponentOf(0, 0, 2);
-  (void)service.CoreComponentOf(0, 0, 3);
-  (void)service.CoreComponentOf(0, 0, 1);
-  (void)service.CoreComponentOf(0, 0, 3);
-  const ScatterGatherStats gather = service.stats().gather;
-  EXPECT_EQ(gather.merge_misses, 4u);
-  EXPECT_EQ(gather.merge_hits, 1u);
 }
 
 TEST(ServeTier, PageSharingAcrossEpochs) {
@@ -490,7 +288,7 @@ TEST(ServeTier, PageSharingAcrossEpochs) {
   // pages holding the endpoints (plus growth tail pages, absent here).
   Rng rng(31);
   Graph g = gen::BarabasiAlbert(5000, 3, &rng);
-  ShardedHCoreService service(Graph(g), ServiceOptions(4));
+  ShardedHCoreService service(Graph(g), ServiceOptions());
   const size_t pages = service.view()->graph().num_pages();
   ASSERT_GT(pages, 3u);
 
@@ -502,24 +300,21 @@ TEST(ServeTier, PageSharingAcrossEpochs) {
     ASSERT_EQ(service.ApplyBatch({&edit, 1}), 1u);
   }
 
-  ShardedServiceStats stats = service.stats();
+  const ShardedServiceStats stats = service.stats();
   // Each epoch shared all but <= 2 pages and copied the rest.
   EXPECT_GE(stats.memory.pages_shared, kBatches * (pages - 2));
   EXPECT_LE(stats.memory.pages_copied, kBatches * 2u);
   EXPECT_EQ(stats.memory.graph_pages, pages);
-  EXPECT_GT(stats.memory.resident_bytes, 0u);
-  // Adoption means the tier holds ONE paged graph, not num_shards copies:
-  // resident bytes are far below four CSR replicas of this substrate.
-  EXPECT_LT(stats.memory.resident_bytes,
-            2 * service.view()->graph().MemoryBytes());
+  EXPECT_EQ(stats.memory.resident_bytes,
+            service.view()->graph().MemoryBytes());
 }
 
 TEST(ServeTier, GroupCommitCoalescesConcurrentWritersExactly) {
   // Concurrent writers under group commit: a leader drains the queue and
   // applies one concatenated batch per group. Edits are disjoint absent
   // edges, so every writer's attributed count must come back exactly, and
-  // the final state must equal a control tier that applied the same edits
-  // in one sequential batch (and the single-index oracle).
+  // the final state must equal a control service that applied the same
+  // edits in one sequential batch, and the from-scratch oracle.
   Rng rng(33);
   Graph g = gen::CliqueOverlay(150, 70, 3, 12, 2.0, &rng);
   const VertexId n = g.num_vertices();
@@ -541,14 +336,15 @@ TEST(ServeTier, GroupCommitCoalescesConcurrentWritersExactly) {
     }
   }
 
-  ShardedServiceOptions grouped_opts = ServiceOptions(3);
+  ShardedServiceOptions grouped_opts = ServiceOptions();
   grouped_opts.group_commit = true;
   ShardedHCoreService grouped(Graph(g), grouped_opts);
 
   std::vector<size_t> applied(kWriters, 0);
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] { applied[w] = grouped.ApplyBatch(batches[w]); });
+    writers.emplace_back(
+        [&, w] { applied[w] = grouped.ApplyBatch(batches[w]); });
   }
   for (auto& t : writers) t.join();
   for (int w = 0; w < kWriters; ++w) {
@@ -563,25 +359,21 @@ TEST(ServeTier, GroupCommitCoalescesConcurrentWritersExactly) {
   // Control: the same edits in one sequential batch, group commit off.
   std::vector<EdgeEdit> all;
   for (const auto& b : batches) all.insert(all.end(), b.begin(), b.end());
-  ShardedHCoreService control(Graph(g), ServiceOptions(3));
+  ShardedHCoreService control(Graph(g), ServiceOptions());
   ASSERT_EQ(control.ApplyBatch(all), all.size());
-  HCoreIndex oracle(Graph(g), IndexOptions());
-  ASSERT_EQ(oracle.ApplyBatch(all), all.size());
 
   EXPECT_EQ(grouped.view()->graph().FlattenedNeighbors(),
             control.view()->graph().FlattenedNeighbors());
-  AssertEquivalent(grouped, oracle, "group-commit");
-  AssertCommunitiesEquivalent(grouped, oracle, 77, "group-commit");
+  AssertMatchesScratch(grouped, g.WithEdits(all), 77, "group-commit");
 }
 
-TEST(ServeTier, SingleShardDegeneratesToOneIndexWithEmptyCutSet) {
+TEST(ServeTierDeathTest, RejectsMoreThanOneShard) {
   Rng rng(5);
-  Graph g = gen::PlantedPartition(3, 30, 0.4, 0.05, &rng);
-  HCoreIndex oracle(Graph(g), IndexOptions());
-  ShardedHCoreService service(Graph(g), ServiceOptions(1));
-  EXPECT_TRUE(service.view()->cut_edges().empty());
-  AssertEquivalent(service, oracle, "single-shard");
-  AssertCommunitiesEquivalent(service, oracle, 42, "single-shard");
+  ShardedServiceOptions opts = ServiceOptions();
+  opts.num_shards = 2;
+  EXPECT_DEATH(
+      { ShardedHCoreService service(gen::BarabasiAlbert(50, 2, &rng), opts); },
+      "num_shards");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #ifndef HCORE_TESTS_TEST_UTIL_H_
 #define HCORE_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -63,6 +64,32 @@ inline std::vector<RandomGraphSpec> Corpus(uint32_t n, int seeds) {
       out.push_back({model, n, static_cast<uint64_t>(s)});
     }
   }
+  return out;
+}
+
+/// Reference component: BFS from `v` restricted to vertices whose core
+/// reaches `k`, sorted (empty when core[v] < k). With all-zero cores and
+/// k = 0 this is v's connected component of G.
+inline std::vector<VertexId> ReferenceComponent(
+    const Graph& g, const std::vector<uint32_t>& core, VertexId v,
+    uint32_t k) {
+  if (core[v] < k) return {};
+  std::vector<bool> seen(g.num_vertices(), false);
+  std::vector<VertexId> stack{v};
+  std::vector<VertexId> out;
+  seen[v] = true;
+  while (!stack.empty()) {
+    const VertexId u = stack.back();
+    stack.pop_back();
+    out.push_back(u);
+    for (VertexId w : g.neighbors(u)) {
+      if (!seen[w] && core[w] >= k) {
+        seen[w] = true;
+        stack.push_back(w);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

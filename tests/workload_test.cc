@@ -2,7 +2,7 @@
 // (including the exact shapes the old floor(p*n) indexing got wrong), the
 // log-bucket histogram against a sorted-vector oracle, Zipf sampler
 // determinism and goodness-of-fit, option validation, closed-loop run
-// determinism, and the sharded-vs-single-index differential under a mixed
+// determinism, and the from-scratch oracle differential under a mixed
 // read/write run. The multi-client cases double as the TSan leg's entry
 // point for the driver's concurrency.
 
@@ -278,9 +278,8 @@ Graph SmallClustered() {
   return gen::CliqueOverlay(160, 70, 3, 12, 2.0, &rng);
 }
 
-ShardedServiceOptions TierOptions(int shards) {
+ShardedServiceOptions ServiceOptions() {
   ShardedServiceOptions options;
-  options.num_shards = shards;
   options.index.max_h = 2;
   return options;
 }
@@ -294,11 +293,11 @@ TEST(RunWorkloadTest, OpCountsAreSeedDeterministic) {
   options.seed = 5;
   WorkloadReport a, b;
   {
-    ShardedHCoreService service(SmallClustered(), TierOptions(3));
+    ShardedHCoreService service(SmallClustered(), ServiceOptions());
     a = RunWorkload(&service, options);
   }
   {
-    ShardedHCoreService service(SmallClustered(), TierOptions(3));
+    ShardedHCoreService service(SmallClustered(), ServiceOptions());
     b = RunWorkload(&service, options);
   }
   EXPECT_EQ(a.total_ops, 180u);
@@ -320,11 +319,11 @@ TEST(RunWorkloadTest, SingleClientRunIsFullyDeterministic) {
   options.collect_applied_batches = true;
   WorkloadReport a, b;
   {
-    ShardedHCoreService service(SmallClustered(), TierOptions(2));
+    ShardedHCoreService service(SmallClustered(), ServiceOptions());
     a = RunWorkload(&service, options);
   }
   {
-    ShardedHCoreService service(SmallClustered(), TierOptions(2));
+    ShardedHCoreService service(SmallClustered(), ServiceOptions());
     b = RunWorkload(&service, options);
   }
   ASSERT_EQ(a.applied_batches.size(), b.applied_batches.size());
@@ -357,7 +356,7 @@ TEST(RunWorkloadTest, CollectedBatchEpochsStrictlyIncrease) {
   options.mix.write = 0.50;
   options.seed = 3;
   options.collect_applied_batches = true;
-  ShardedHCoreService service(SmallClustered(), TierOptions(3));
+  ShardedHCoreService service(SmallClustered(), ServiceOptions());
   const WorkloadReport report = RunWorkload(&service, options);
   ASSERT_GT(report.applied_batches.size(), 1u);
   for (size_t i = 1; i < report.applied_batches.size(); ++i) {
@@ -369,14 +368,13 @@ TEST(RunWorkloadTest, CollectedBatchEpochsStrictlyIncrease) {
   EXPECT_EQ(service.view()->service_epoch(), report.applied_batches.size());
 }
 
-TEST(RunWorkloadTest, MixedRunMatchesSingleIndexOracle) {
-  // The tentpole differential: a concurrent mixed read/write run against a
-  // 3-shard tier, then every sampled spectrum / component / community of
-  // the final sharded view must equal a single-shard replay of the same
-  // batches. This is the suite's TSan entry point for the driver.
+TEST(RunWorkloadTest, MixedRunMatchesScratchOracle) {
+  // The differential: a concurrent mixed read/write run, then every
+  // spectrum and every sampled component / community of the final view
+  // must equal answers computed from a from-scratch decomposition of the
+  // replayed graph. This is the suite's TSan entry point for the driver.
   Graph initial = SmallClustered();
-  ShardedServiceOptions tier_options = TierOptions(3);
-  ShardedHCoreService service(Graph(initial), tier_options);
+  ShardedHCoreService service(Graph(initial), ServiceOptions());
   WorkloadOptions options;
   options.clients = 4;
   options.ops_per_client = 50;
@@ -384,13 +382,12 @@ TEST(RunWorkloadTest, MixedRunMatchesSingleIndexOracle) {
   options.collect_applied_batches = true;
   const WorkloadReport report = RunWorkload(&service, options);
   EXPECT_GT(report.Of(WorkloadOp::kWrite).count, 0u);
-  EXPECT_EQ(CompareToSingleIndexOracle(std::move(initial),
-                                       tier_options.index, service, report),
-            0u);
+  const Graph truth = ReplayAppliedBatches(std::move(initial), report);
+  EXPECT_EQ(CompareToScratchOracle(truth, *service.view()).total(), 0u);
 }
 
 TEST(SaturationSearchTest, ReportsMonotoneClientStepsAndPeak) {
-  ShardedHCoreService service(SmallClustered(), TierOptions(2));
+  ShardedHCoreService service(SmallClustered(), ServiceOptions());
   WorkloadOptions options;
   options.clients = 1;
   options.ops_per_client = 120;

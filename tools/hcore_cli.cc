@@ -15,9 +15,7 @@
 //   hcore_cli generate   --model=ba|gnp|ws|road|cliques --n=1000 [--seed=S]
 //                        --output=G.txt
 //   hcore_cli serve      --input=G.txt [--h-max=4] [--threads=N] [--algo=..]
-//                        [--shards=N] [--merge-cache=N] [--carry-budget=F]
-//                        [--premerge=N]
-//   hcore_cli workload   --input=G.txt [--h-max=2] [--shards=4] [--clients=4]
+//   hcore_cli workload   --input=G.txt [--h-max=2] [--clients=4]
 //                        [--ops=200] [--zipf=0.8] [--seed=1]
 //                        [--batch-edits=8]
 //                        [--mix=read-heavy|mixed|write-heavy|
@@ -25,42 +23,38 @@
 //                        [--saturation=MAX_CLIENTS] [--check]
 //
 // `workload` runs the closed-loop mixed workload driver (serve/workload.h)
-// against a sharded service built over --input: --clients closed-loop
-// threads each issue --ops operations drawn from the mix (point core /
-// spectrum / densest lookups, cross-shard component / community
-// traversals, ApplyBatch writes) with Zipf(--zipf) key popularity, then
+// against a service built over --input: --clients closed-loop threads each
+// issue --ops operations drawn from the mix (point core / spectrum /
+// densest lookups, component / community traversals, ApplyBatch writes)
+// with Zipf(--zipf) key popularity, then
 // print QPS and exact-rank p50/p99/p999 per op class. --mix takes a named
 // preset or six comma-separated ratios (core,spectrum,densest,component,
 // community,write) that must be non-negative and sum to 1. --saturation
 // additionally doubles the client count until QPS plateaus; --check
-// replays the run's write batches into a single-index oracle and fails on
-// any divergence (exit 1).
+// compares the final answers against a from-scratch decomposition of the
+// replayed graph (CompareToScratchOracle) and fails on any divergence
+// (exit 1).
 //
-// `serve` builds a ShardedHCoreService (--shards index shards behind one
-// API; the default 1 degenerates to a single HCoreIndex), then answers
-// query/update commands from stdin (REPL or piped batch), one per line:
+// `serve` builds the serving tier (serve/sharded_service.h: one HCoreIndex
+// behind an atomically published view), then answers query/update commands
+// from stdin (REPL or piped batch), one per line:
 //
-//   core <v> <h>             core index of v at threshold h (owner shard)
-//   spectrum <v>             core_1(v) .. core_H(v) (owner shard)
+//   core <v> <h>             core index of v at threshold h
+//   spectrum <v>             core_1(v) .. core_H(v)
 //   component <v> <k> <h>    connected component of v in the (k,h)-core
-//                            (cross-shard scatter-gather)
-//   community <h> v1,v2,..   cocktail-party community (scatter-gather)
+//   community <h> v1,v2,..   cocktail-party community
 //   densest <h> <top-k>      densest core levels of threshold h
 //   insert <u> <v>           stage an edge insertion into the pending batch
 //   delete <u> <v>           stage an edge deletion into the pending batch
-//   apply                    apply the pending batch (one epoch, all shards)
-//   stats                    epoch vector, graph size, cumulative counters
-//                            (aggregated plus per-shard when --shards > 1)
+//   apply                    apply the pending batch (one epoch)
+//   stats                    epoch, graph size, cumulative counters
 //   stats reset              zero the cumulative counters (epochs stay)
 //   quit                     exit
 //
-// Point queries are answered from the warm shard snapshots — the
-// Table-3-style BFS counters shown by `stats` stay flat however many
-// queries run; only `apply` (and the initial build) moves them. With
-// --shards=1 the output of every pre-existing command is byte-identical
-// to the pre-sharding serve (locked by tests/golden/serve_shards1.golden,
-// recorded from the pre-PR binary); `help` and malformed `stats <arg>`
-// are the deliberate exceptions (`stats reset` is new).
+// Queries are answered from the warm snapshot — the Table-3-style BFS
+// counters shown by `stats` stay flat however many queries run; only
+// `apply` (and the initial build) moves them. tests/golden/serve_shards1.*
+// locks the output of a scripted session byte for byte.
 //
 // The core-decomposition flags (--h, --algo/--algorithm, --threads,
 // --partition, --ordering, --parallel) map 1:1 onto KhCoreOptions and
@@ -402,24 +396,12 @@ int CmdDensest(const Flags& flags) {
 
 void PrintServeStats(const ShardedHCoreService& service) {
   auto view = service.view();
-  const ShardedServiceStats st = service.stats();
-  const HCoreIndexStats s = st.AggregateShards();
-  // The single-shard header is the pre-sharding format, byte for byte
-  // (locked by the golden protocol test); the sharded header adds the
-  // shard count and the cut-edge set size.
-  if (service.num_shards() == 1) {
-    std::printf("epoch=%llu n=%u m=%llu h_max=%d\n",
-                static_cast<unsigned long long>(view->shard_epochs().front()),
-                view->graph().num_vertices(),
-                static_cast<unsigned long long>(view->graph().num_edges()),
-                service.max_h());
-  } else {
-    std::printf("epoch=%llu shards=%d n=%u m=%llu h_max=%d cut_edges=%zu\n",
-                static_cast<unsigned long long>(view->service_epoch()),
-                service.num_shards(), view->graph().num_vertices(),
-                static_cast<unsigned long long>(view->graph().num_edges()),
-                service.max_h(), view->cut_edges().size());
-  }
+  const HCoreIndexStats s = service.stats().index;
+  std::printf("epoch=%llu n=%u m=%llu h_max=%d\n",
+              static_cast<unsigned long long>(view->service_epoch()),
+              view->graph().num_vertices(),
+              static_cast<unsigned long long>(view->graph().num_edges()),
+              service.max_h());
   std::printf(
       "csr_rebuilds=%llu batches=%llu edits=%llu level_runs=%llu "
       "levels_unchanged=%llu localized=%llu fallback_repeels=%llu\n"
@@ -436,40 +418,6 @@ void PrintServeStats(const ShardedHCoreService& service) {
       static_cast<unsigned long long>(s.decomposition.hdegree_computations),
       static_cast<unsigned long long>(s.decomposition.decrement_updates),
       s.decomposition.seconds);
-  if (service.num_shards() > 1) {
-    for (size_t i = 0; i < st.shard.size(); ++i) {
-      std::printf("shard %zu: epoch=%llu localized=%llu fallback_repeels=%llu "
-                  "levels_unchanged=%llu\n",
-                  i, static_cast<unsigned long long>(view->shard_epochs()[i]),
-                  static_cast<unsigned long long>(st.shard[i].localized_updates),
-                  static_cast<unsigned long long>(st.shard[i].fallback_repeels),
-                  static_cast<unsigned long long>(
-                      st.shard[i].levels_unchanged));
-    }
-    std::printf("gather: component_queries=%llu community_queries=%llu "
-                "scatters=%llu scatter_hits=%llu fragments=%llu "
-                "cut_scans=%llu\n",
-                static_cast<unsigned long long>(st.gather.component_queries),
-                static_cast<unsigned long long>(st.gather.community_queries),
-                static_cast<unsigned long long>(st.gather.shard_scatters),
-                static_cast<unsigned long long>(st.gather.scatter_hits),
-                static_cast<unsigned long long>(st.gather.fragments_merged),
-                static_cast<unsigned long long>(st.gather.cut_edges_scanned));
-    std::printf("merges: hits=%llu misses=%llu carried=%llu spliced=%llu "
-                "premerged=%llu\n",
-                static_cast<unsigned long long>(st.gather.merge_hits),
-                static_cast<unsigned long long>(st.gather.merge_misses),
-                static_cast<unsigned long long>(st.gather.merges_carried),
-                static_cast<unsigned long long>(st.gather.merges_spliced),
-                static_cast<unsigned long long>(st.gather.merges_premerged));
-    std::printf("memory: resident_bytes=%llu pages=%llu pages_shared=%llu "
-                "pages_copied=%llu adoptions=%llu\n",
-                static_cast<unsigned long long>(st.memory.resident_bytes),
-                static_cast<unsigned long long>(st.memory.graph_pages),
-                static_cast<unsigned long long>(st.memory.pages_shared),
-                static_cast<unsigned long long>(st.memory.pages_copied),
-                static_cast<unsigned long long>(s.adoptions));
-  }
 }
 
 void PrintVertexList(const std::vector<VertexId>& vertices, size_t limit) {
@@ -485,36 +433,17 @@ int CmdServe(const Flags& flags) {
   Result<Graph> g = LoadInput(flags);
   if (!g.ok()) return Fail(g.status().ToString());
   ShardedServiceOptions opts;
-  opts.num_shards = flags.GetInt("shards", 1);
   opts.index.max_h = HMax(flags);
   opts.index.base = CoreOptions(flags);
   if (opts.index.max_h < 1) return Fail("--h-max must be >= 1");
-  if (opts.num_shards < 1) return Fail("--shards must be >= 1");
-  // Incremental cross-shard maintenance knobs (multi-shard only; see
-  // ShardedServiceOptions).
-  opts.merge_cache_cap =
-      static_cast<size_t>(flags.GetInt("merge-cache",
-                                       static_cast<int>(opts.merge_cache_cap)));
-  opts.carry_budget_fraction =
-      flags.GetDouble("carry-budget", opts.carry_budget_fraction);
-  opts.hot_premerge = static_cast<size_t>(
-      flags.GetInt("premerge", static_cast<int>(opts.hot_premerge)));
 
-  if (opts.num_shards == 1) {
-    std::printf("building index: n=%u m=%llu h_max=%d threads=%d ...\n",
-                g.value().num_vertices(),
-                static_cast<unsigned long long>(g.value().num_edges()),
-                opts.index.max_h, opts.index.base.num_threads);
-  } else {
-    std::printf(
-        "building index: n=%u m=%llu h_max=%d threads=%d shards=%d ...\n",
-        g.value().num_vertices(),
-        static_cast<unsigned long long>(g.value().num_edges()),
-        opts.index.max_h, opts.index.base.num_threads, opts.num_shards);
-  }
+  std::printf("building index: n=%u m=%llu h_max=%d threads=%d ...\n",
+              g.value().num_vertices(),
+              static_cast<unsigned long long>(g.value().num_edges()),
+              opts.index.max_h, opts.index.base.num_threads);
   ShardedHCoreService service(std::move(g.value()), opts);
   std::printf("ready (%.3fs); try 'help'\n",
-              service.stats().AggregateShards().decomposition.seconds);
+              service.stats().index.decomposition.seconds);
 
   const size_t print_limit =
       static_cast<size_t>(flags.GetInt("print-limit", 32));
@@ -702,10 +631,8 @@ int CmdWorkload(const Flags& flags) {
   // mix or client count must be a one-line error, not an abort mid-run.
   if (!ValidateWorkloadOptions(options, &error)) return Fail(error);
   ShardedServiceOptions service_options;
-  service_options.num_shards = flags.GetInt("shards", 4);
   service_options.index.max_h = HMax(flags, 2);
   service_options.index.base = CoreOptions(flags);
-  if (service_options.num_shards < 1) return Fail("--shards must be >= 1");
   if (service_options.index.max_h < 1) return Fail("--h-max must be >= 1");
   const int max_clients = flags.GetInt("saturation", 0);
   if (flags.Has("saturation") && max_clients < 1) {
@@ -713,10 +640,10 @@ int CmdWorkload(const Flags& flags) {
   }
 
   const Graph& graph = g.value();
-  std::printf("building tier: n=%u m=%llu shards=%d h_max=%d ...\n",
+  std::printf("building index: n=%u m=%llu h_max=%d ...\n",
               graph.num_vertices(),
               static_cast<unsigned long long>(graph.num_edges()),
-              service_options.num_shards, service_options.index.max_h);
+              service_options.index.max_h);
   // --check replays against the initial graph, so keep a copy.
   Graph initial = check ? Graph(graph) : Graph();
   ShardedHCoreService service(Graph(graph), service_options);
@@ -741,14 +668,16 @@ int CmdWorkload(const Flags& flags) {
   }
 
   // The oracle replay must see EVERY batch the service has applied, so the
-  // differential runs before the saturation search mutates the tier further.
+  // differential runs before the saturation search mutates the graph further.
   if (check) {
-    const size_t mismatches = CompareToSingleIndexOracle(
-        std::move(initial), service_options.index, service, report);
+    const size_t mismatches =
+        CompareToScratchOracle(ReplayAppliedBatches(std::move(initial), report),
+                               *service.view())
+            .total();
     std::printf("differential: %zu write batches, %zu mismatches\n",
                 report.applied_batches.size(), mismatches);
     if (mismatches != 0) {
-      return Fail("sharded answers diverged from the single-index oracle");
+      return Fail("served answers diverged from the from-scratch oracle");
     }
   }
 

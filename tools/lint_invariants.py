@@ -26,11 +26,11 @@ enforces repo conventions that keep the annotated world airtight:
   stats-add        Every numeric counter in a *Stats struct that has a
                    field-wise `void Add(const X&)` must be referenced in the
                    Add body — a counter missing from Add silently vanishes
-                   from cross-shard / cross-epoch aggregation.
+                   from per-batch / cross-epoch aggregation.
 
   page-buffer      COW page buffer types reachable from published snapshots
                    (AdjacencyPage, Graph) are shared by pointer across
-                   epochs, shards, and reader threads: they must expose no
+                   epochs and reader threads: they must expose no
                    public mutating (non-const) member functions. A mutation
                    entry point on a shared page is a data race with every
                    concurrent reader of every epoch that shares it.
@@ -51,7 +51,7 @@ import sys
 # Classes with the published-immutable contract (rule: published-type).
 PUBLISHED_CLASSES = ("HCoreSnapshot", "ShardedServiceView")
 
-# COW page buffer types shared across epochs/shards (rule: page-buffer).
+# COW page buffer types shared across epochs (rule: page-buffer).
 # Reachable from every published snapshot; a public mutating method here
 # would let one epoch scribble on pages other epochs still serve.
 PAGE_BUFFER_CLASSES = ("AdjacencyPage", "Graph")

@@ -1,11 +1,13 @@
 // Ablation: dynamic maintenance strategies across a stream of single-edge
-// updates —
+// updates, each maintaining every level 1..h —
 //
-//   localized : candidate-region re-peel with pinned boundary
+//   localized : HCoreIndex (max_h = h) InsertEdge/DeleteEdge: per level a
+//               candidate-region re-peel with pinned boundary
 //               (core/incremental.h), warm fallback past the region cap;
-//   warm      : whole-graph re-decomposition warm-started from the old
-//               cores (the only strategy before localized maintenance);
-//   scratch   : whole-graph re-decomposition from scratch.
+//   warm      : the same index with localized.max_batch = 0, so every level
+//               is a whole-graph re-decomposition warm-started from the old
+//               cores;
+//   scratch   : KhCoreSpectrum (max_h = h) from scratch after every edit.
 //
 // All three are exact, so the comparison is pure cost: BFS visits and wall
 // time per applied edit. The acceptance bar for the localized path is a
@@ -25,8 +27,9 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/incremental.h"
+#include "core/spectrum.h"
 #include "graph/generators.h"
+#include "index/hcore_index.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -41,7 +44,7 @@ struct StreamResult {
   int edits = 0;
   double seconds = 0.0;  // edit calls only (graph copies/setup excluded)
   uint64_t visits = 0;
-  uint64_t localized = 0;
+  uint64_t localized = 0;  // level repairs, summed over levels 1..h
   uint64_t fallbacks = 0;
 
   double MsPerEdit() const { return edits > 0 ? seconds * 1e3 / edits : 0.0; }
@@ -56,44 +59,49 @@ StreamResult RunDynamic(const std::string& dataset, const Graph& g, int h,
                         const std::string& mode,
                         const LocalizedUpdateOptions& localized, int updates,
                         uint64_t seed) {
-  KhCoreOptions opts;
-  opts.h = h;
-  DynamicKhCore dyn(g, opts, localized);
+  HCoreIndexOptions opts;
+  opts.max_h = h;
+  opts.localized = localized;
+  HCoreIndex index(g, opts);
+  const HCoreIndexStats setup = index.stats();
   Rng rng(seed);
   StreamResult out;
   out.dataset = dataset;
   out.h = h;
   out.mode = mode;
   while (out.edits < updates) {
-    const VertexId n = dyn.graph().num_vertices();
+    const std::shared_ptr<const HCoreSnapshot> snap = index.snapshot();
+    const VertexId n = snap->graph().num_vertices();
     bool ok;
     if (rng.NextBool(0.5)) {
       const VertexId u = rng.NextIndex(n);
       const VertexId v = rng.NextIndex(n);
       WallTimer timer;
-      ok = dyn.InsertEdge(u, v);
+      ok = index.InsertEdge(u, v);
       out.seconds += timer.ElapsedSeconds();
     } else {
-      auto edges = dyn.graph().Edges();
+      auto edges = snap->graph().Edges();
       auto [u, v] = edges[rng.NextIndex(static_cast<uint32_t>(edges.size()))];
       WallTimer timer;
-      ok = dyn.DeleteEdge(u, v);
+      ok = index.DeleteEdge(u, v);
       out.seconds += timer.ElapsedSeconds();
     }
-    if (!ok) continue;
-    ++out.edits;
-    out.visits += dyn.result().stats.visited_vertices;
+    if (ok) ++out.edits;
   }
-  out.localized = dyn.localized_updates();
-  out.fallbacks = dyn.fallback_repeels();
+  const HCoreIndexStats stats = index.stats();
+  out.visits = stats.decomposition.visited_vertices -
+               setup.decomposition.visited_vertices;
+  out.localized = stats.localized_updates;
+  out.fallbacks = stats.fallback_repeels;
   return out;
 }
 
-/// Fresh decomposition after every edit (no warm bounds at all).
+/// Fresh spectrum (levels 1..h) after every edit (no warm bounds from the
+/// previous epoch).
 StreamResult RunScratch(const std::string& dataset, Graph g, int h,
                         int updates, uint64_t seed) {
-  KhCoreOptions opts;
-  opts.h = h;
+  SpectrumOptions opts;
+  opts.max_h = h;
   Rng rng(seed);
   StreamResult out;
   out.dataset = dataset;
@@ -112,7 +120,7 @@ StreamResult RunScratch(const std::string& dataset, Graph g, int h,
     }
     WallTimer timer;
     g = g.WithEdits({&edit, 1});
-    KhCoreResult r = KhCoreDecomposition(g, opts);
+    SpectrumResult r = KhCoreSpectrum(g, opts);
     out.seconds += timer.ElapsedSeconds();
     ++out.edits;
     out.visits += r.stats.visited_vertices;
@@ -191,7 +199,7 @@ int main(int argc, char** argv) {
 
   const LocalizedUpdateOptions on;  // defaults
   LocalizedUpdateOptions off;
-  off.enable = false;
+  off.max_batch = 0;  // no batch fits: every level takes the warm fallback
 
   for (const char* name : {"caAs", "doub"}) {
     Dataset d = bench::Load(args, name, /*quick=*/0.06, /*full=*/0.25);
@@ -234,7 +242,7 @@ int main(int argc, char** argv) {
                                     : 0.0;
       std::printf(
           "clu100k h=%d: localized %.1fx faster per edit than warm "
-          "(target >= 5x), %llu localized / %llu fallback\n",
+          "(target >= 5x), %llu localized / %llu fallback level repairs\n",
           h, speedup, static_cast<unsigned long long>(localized.localized),
           static_cast<unsigned long long>(localized.fallbacks));
     }

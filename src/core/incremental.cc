@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "engine/peeling_engine.h"
-#include "util/timer.h"
 
 namespace hcore {
 namespace {
@@ -42,6 +41,16 @@ struct LocalizedPolicy : PeelPolicyBase {
 
 }  // namespace
 
+void LocalizedUpdateStats::Add(const LocalizedUpdateStats& other) {
+  region += other.region;
+  boundary += other.boundary;
+  changed += other.changed;
+  escalations += other.escalations;
+  visited += other.visited;
+  hdegree_computations += other.hdegree_computations;
+  decrement_updates += other.decrement_updates;
+}
+
 LocalizedUpdater::LocalizedUpdater(int num_threads)
     : degrees_(0, num_threads), peeler_(&degrees_) {}
 
@@ -65,7 +74,7 @@ bool LocalizedUpdater::UpdateLevel(const Graph& g_before, const Graph& g_after,
   HCORE_CHECK(core->size() == g_before.num_vertices());
   LocalizedUpdateStats local;
   bool ok = false;
-  if (options.enable && !effective.empty()) {
+  if (!effective.empty()) {
     // Deletions never shrink the vertex set; insertions may grow it, and
     // the newcomers' pre-edit core index is 0 (they did not exist).
     // `base_core_` keeps the pristine resized old cores; `next_core_`
@@ -77,7 +86,6 @@ bool LocalizedUpdater::UpdateLevel(const Graph& g_before, const Graph& g_after,
                  : DeleteCascade(g_before, g_after, effective, h, options,
                                  &local);
     if (ok) {
-      local.localized = true;
       for (VertexId v = 0; v < next_core_.size(); ++v) {
         const uint32_t old = v < core->size() ? (*core)[v] : 0;
         if (next_core_[v] != old) ++local.changed;
@@ -270,79 +278,6 @@ bool LocalizedUpdater::DeleteCascade(const Graph& g_before,
   for (const VertexId v : worklist_) pinned_[v] = 0;
   worklist_.clear();
   return !capped;
-}
-
-DynamicKhCore::DynamicKhCore(Graph g, const KhCoreOptions& options,
-                             const LocalizedUpdateOptions& localized)
-    : graph_(std::move(g)),
-      options_(options),
-      localized_(localized),
-      updater_(options.num_threads) {
-  // External bounds are managed internally; forbid caller-supplied ones to
-  // avoid dangling pointers across updates.
-  HCORE_CHECK(options_.extra_lower_bound == nullptr);
-  HCORE_CHECK(options_.extra_upper_bound == nullptr);
-  result_ = KhCoreDecomposition(graph_, options_);
-}
-
-bool DynamicKhCore::InsertEdge(VertexId u, VertexId v) {
-  if (u == v || u == kInvalidVertex || v == kInvalidVertex ||
-      graph_.HasEdge(u, v)) {
-    return false;
-  }
-  return ApplyEdit(EdgeEdit::Insert(u, v));
-}
-
-bool DynamicKhCore::DeleteEdge(VertexId u, VertexId v) {
-  if (u >= graph_.num_vertices() || v >= graph_.num_vertices() ||
-      !graph_.HasEdge(u, v)) {
-    return false;
-  }
-  return ApplyEdit(EdgeEdit::Delete(u, v));
-}
-
-bool DynamicKhCore::ApplyEdit(const EdgeEdit& edit) {
-  WallTimer timer;
-  // Splice the two affected adjacency lists (O(deg) merges, everything else
-  // copied through) instead of rebuilding and re-sorting the whole CSR.
-  Graph next = graph_.WithEdits({&edit, 1});
-
-  if (updater_.UpdateLevel(graph_, next, {&edit, 1}, edit.insert, options_.h,
-                           &result_.core, localized_, &last_update_)) {
-    ++localized_updates_;
-    graph_ = std::move(next);
-    uint32_t degeneracy = 0;
-    for (const uint32_t c : result_.core) degeneracy = std::max(degeneracy, c);
-    result_.degeneracy = degeneracy;
-    result_.h = options_.h;
-    KhCoreStats stats;
-    stats.visited_vertices = last_update_.visited;
-    stats.hdegree_computations = last_update_.hdegree_computations;
-    stats.decrement_updates = last_update_.decrement_updates;
-    stats.seconds = timer.ElapsedSeconds();
-    result_.stats = stats;
-    return true;
-  }
-
-  // Warm whole-graph fallback: old indexes bound the new ones — lower after
-  // an insertion (distances only shrink), upper after a deletion.
-  ++fallback_repeels_;
-  KhCoreOptions opts = options_;
-  std::vector<uint32_t> lower, upper;
-  if (edit.insert) {
-    lower = result_.core;
-    lower.resize(next.num_vertices(), 0);  // new vertices get bound 0
-    opts.extra_lower_bound = &lower;
-  } else {
-    upper = result_.core;
-    opts.extra_upper_bound = &upper;
-    // The upper-bound path only exists in h-LB+UB; force it for h > 1
-    // (h = 1 routes to the classic linear algorithm anyway).
-    opts.algorithm = KhCoreAlgorithm::kLbUb;
-  }
-  graph_ = std::move(next);
-  result_ = KhCoreDecomposition(graph_, opts);
-  return true;
 }
 
 }  // namespace hcore

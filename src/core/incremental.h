@@ -29,16 +29,17 @@
 //       reruns, degenerating into the warm fallback once the region
 //       overflows the cap.
 //
-//  2. WHOLE-GRAPH WARM START (the fallback, and the only path before this
-//     existed): re-decompose from scratch reusing the previous indexes as
-//     bounds — after an insertion distances only shrink, so old indexes
-//     lower-bound the new ones; after a deletion they upper-bound them.
+//  2. WHOLE-GRAPH WARM START (the fallback, run per level by HCoreIndex —
+//     index/hcore_index.h): re-decompose from scratch reusing the previous
+//     indexes as bounds — after an insertion distances only shrink, so old
+//     indexes lower-bound the new ones; after a deletion they upper-bound
+//     them.
 //
 // The localized path falls back when the discovered region exceeds
 // LocalizedUpdateOptions::MaxRegion (edits that restructure a large part of
 // the graph). Both paths return exactly the decomposition a fresh run would
 // produce; the fuzz suite (tests/incremental_fuzz_test.cc) checks that at
-// every step.
+// every step, for single edits and batches alike.
 
 #ifndef HCORE_CORE_INCREMENTAL_H_
 #define HCORE_CORE_INCREMENTAL_H_
@@ -48,7 +49,6 @@
 #include <span>
 #include <vector>
 
-#include "core/kh_core.h"
 #include "engine/parallel_peel.h"
 #include "engine/vertex_mask.h"
 #include "graph/graph.h"
@@ -59,8 +59,6 @@ namespace hcore {
 
 /// Tuning for the localized update path.
 struct LocalizedUpdateOptions {
-  /// Master switch; off forces every update onto the warm fallback.
-  bool enable = true;
   /// Fallback threshold: discovery aborts (and the caller re-peels the
   /// whole graph warm-started) once the candidate region exceeds
   /// max(min_region_cap, max_region_fraction * n) vertices — past that the
@@ -68,7 +66,8 @@ struct LocalizedUpdateOptions {
   double max_region_fraction = 0.25;
   size_t min_region_cap = 64;
   /// Batch cap (HCoreIndex): batches with more effective edits than this
-  /// skip discovery entirely (their joint region is rarely local).
+  /// skip discovery entirely (their joint region is rarely local); 0 sends
+  /// every batch to the warm fallback.
   size_t max_batch = 8;
   /// Round-synchronous parallel region peel (engine/parallel_peel.h):
   /// candidate regions whose peel (region + boundary) clears the size gate
@@ -85,9 +84,6 @@ struct LocalizedUpdateOptions {
 
 /// Outcome of one localized level-update attempt.
 struct LocalizedUpdateStats {
-  /// True when the localized path applied; false means the caller must run
-  /// the warm fallback (region overflow, or the path is disabled).
-  bool localized = false;
   /// Inserts: candidate vertices re-peeled (final trial). Deletes:
   /// vertices the cascade demoted.
   size_t region = 0;
@@ -100,6 +96,9 @@ struct LocalizedUpdateStats {
   uint64_t visited = 0;
   uint64_t hdegree_computations = 0;
   uint64_t decrement_updates = 0;
+
+  /// Field-wise accumulation (the mixed chain merges its two phases).
+  void Add(const LocalizedUpdateStats& other);
 };
 
 /// Localized re-peel machinery with scratch reused across updates (BFS
@@ -115,7 +114,7 @@ class LocalizedUpdater {
   /// Graph::WithEdits' `effective` out-parameter). On success `core` holds
   /// the exact post-edit indexes (resized when the batch grew the graph)
   /// and true is returned. Returns false — leaving `core` untouched — when
-  /// the region overflows the cap or the path is disabled.
+  /// the region overflows the cap.
   bool UpdateLevel(const Graph& g_before, const Graph& g_after,
                    std::span<const EdgeEdit> effective, bool inserts, int h,
                    std::vector<uint32_t>* core,
@@ -147,48 +146,6 @@ class LocalizedUpdater {
   std::vector<uint32_t> peel_keys_;
   std::vector<uint32_t> region_keys_;
   std::vector<VertexId> peel_vertices_;
-};
-
-/// A (k,h)-core decomposition that can be advanced across edge updates.
-class DynamicKhCore {
- public:
-  /// Decomposes `g` from scratch. `options.h` is the distance threshold for
-  /// the lifetime of this object; `localized` tunes the update path.
-  DynamicKhCore(Graph g, const KhCoreOptions& options,
-                const LocalizedUpdateOptions& localized = {});
-
-  const Graph& graph() const { return graph_; }
-  const KhCoreResult& result() const { return result_; }
-  int h() const { return options_.h; }
-
-  /// Applies an edge insertion and refreshes the decomposition (localized
-  /// re-peel, falling back to the whole-graph warm start). No-op (returns
-  /// false) if the edge already exists or is a self-loop; vertex ids beyond
-  /// the current vertex count grow the graph.
-  bool InsertEdge(VertexId u, VertexId v);
-
-  /// Applies an edge deletion, same strategy. Returns false if absent.
-  bool DeleteEdge(VertexId u, VertexId v);
-
-  /// Updates served by the localized path / by the warm whole-graph
-  /// fallback. Their sum equals the number of applied updates.
-  uint64_t localized_updates() const { return localized_updates_; }
-  uint64_t fallback_repeels() const { return fallback_repeels_; }
-
-  /// Region/boundary/changed telemetry of the most recent applied update.
-  const LocalizedUpdateStats& last_update() const { return last_update_; }
-
- private:
-  bool ApplyEdit(const EdgeEdit& edit);
-
-  Graph graph_;
-  KhCoreOptions options_;
-  LocalizedUpdateOptions localized_;
-  KhCoreResult result_;
-  LocalizedUpdater updater_;
-  LocalizedUpdateStats last_update_;
-  uint64_t localized_updates_ = 0;
-  uint64_t fallback_repeels_ = 0;
 };
 
 }  // namespace hcore

@@ -110,7 +110,7 @@ struct KhCoreOptions {
   /// the configured LowerBoundMode by taking the maximum. Not owned.
   const std::vector<uint32_t>* extra_lower_bound = nullptr;
   /// Optional externally-known per-vertex upper bound on the core index
-  /// (e.g. the pre-deletion core index — see core/incremental.h). Must
+  /// (e.g. the pre-deletion core index — see index/hcore_index.h). Must
   /// satisfy extra[v] >= core_h(v). When set, h-LB+UB uses it instead of
   /// running Algorithm 5 (the caller's bound is assumed tighter/cheaper);
   /// other algorithms ignore it. Not owned.

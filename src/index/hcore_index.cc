@@ -192,7 +192,7 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
   // (prev + deletes) — canonical effective edits are per-edge disjoint, so
   // the sequential composition equals the joint batch.
   const bool try_localized =
-      prev != nullptr && options_.localized.enable && !effective.empty() &&
+      prev != nullptr && !effective.empty() &&
       effective.size() <= options_.localized.max_batch;
   const bool mixed = !pure_insert && !pure_delete;
   Graph g_mid;  // mixed-chain intermediate: prev graph with deletes applied
@@ -258,17 +258,11 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
       out.ok = updater.UpdateLevel(g_mid, g, chain_inserts, /*inserts=*/true,
                                    h, &out.core, options_.localized,
                                    &insert_ls);
-      out.ls.region += insert_ls.region;
-      out.ls.boundary += insert_ls.boundary;
-      out.ls.changed += insert_ls.changed;
-      out.ls.escalations += insert_ls.escalations;
-      out.ls.visited += insert_ls.visited;
-      out.ls.hdegree_computations += insert_ls.hdegree_computations;
-      out.ls.decrement_updates += insert_ls.decrement_updates;
+      out.ls.Add(insert_ls);
     };
     const int fan =
         std::min(options_.max_h, std::max(1, options_.base.num_threads));
-    if (options_.concurrent_levels && fan > 1) {
+    if (fan > 1) {
       if (level_pool_ == nullptr) {
         level_pool_ = std::make_unique<ThreadPool>(fan);
       }

@@ -11,11 +11,11 @@
 //     h+1 as a lower bound) builds the initial per-level core vectors;
 //   * the core-component dendrogram of core/hierarchy.* is built lazily,
 //     per level, on first query — never eagerly at update time;
-//   * the warm-start bounds of core/incremental.* (old cores lower-bound
-//     after inserts, upper-bound after deletes) drive ApplyBatch, which
-//     merges a whole batch of edits into ONE CSR rebuild
-//     (Graph::WithEdits) plus one warm-started re-decomposition per h
-//     level — instead of one full rebuild per edge.
+//   * the dynamic maintenance of core/incremental.* drives ApplyBatch, the
+//     one write path (single edits are batches of one): ONE copy-on-write
+//     page splice for the whole batch, then per h level a localized repair
+//     or, past its caps, a warm-started whole-graph re-decomposition (old
+//     cores lower-bound after inserts, upper-bound after deletes).
 //
 // Concurrency model: readers call snapshot() and query the returned
 // HCoreSnapshot for as long as they like; snapshots are immutable (lazy
@@ -55,20 +55,20 @@ struct HCoreIndexOptions {
   /// Per-level decomposition configuration (its `h` and bound pointers are
   /// managed by the index).
   KhCoreOptions base;
-  /// Localized maintenance tuning (core/incremental.h): pure small batches
+  /// Localized maintenance tuning (core/incremental.h): small batches
   /// re-peel only the candidate region per level, falling back to the warm
-  /// whole-graph re-decomposition past the region/batch caps.
+  /// whole-graph re-decomposition past the region/batch caps
+  /// (`localized.max_batch = 0` sends every level to the fallback).
+  ///
+  /// When min(max_h, base.num_threads) >= 2, the per-level localized
+  /// attempts of a batch fan out over an index-owned pool of that many
+  /// workers (created lazily): dirty levels are independent — only the warm
+  /// fallback's spectrum chain orders them. Concurrent attempts use
+  /// per-level single-threaded updaters (level-parallelism replaces
+  /// region-parallelism; nesting pools would oversubscribe). Otherwise the
+  /// attempts run serially on one updater with base.num_threads threads.
+  /// Results are identical either way.
   LocalizedUpdateOptions localized;
-  /// Fan the per-level localized attempts of a batch out over an
-  /// index-owned pool (min(max_h, base.num_threads) workers, created
-  /// lazily): dirty levels are independent — only the warm fallback's
-  /// spectrum chain orders them — so a multi-level batch repairs its levels
-  /// concurrently. Concurrent attempts use per-level single-threaded
-  /// updaters (level-parallelism replaces region-parallelism; nesting
-  /// pools would oversubscribe). Off, or with fewer than 2 effective
-  /// workers, attempts run serially on the shared updater. Results are
-  /// identical either way.
-  bool concurrent_levels = true;
 };
 
 /// Cumulative cost counters for one index (Table-3-style: serving queries
@@ -223,7 +223,9 @@ class HCoreIndex {
       std::span<const EdgeEdit> effective, const EdgeEditSummary& summary)
       EXCLUDES(update_mu_, mu_);
 
-  /// Single-edit conveniences (each is a batch of one).
+  /// Single-edit conveniences: each is a batch of one, so it returns false
+  /// for the no-ops of Graph::WithEdits (self-loop, present insert, absent
+  /// or out-of-range delete) and an insert past the vertex count grows it.
   bool InsertEdge(VertexId u, VertexId v) EXCLUDES(update_mu_, mu_);
   bool DeleteEdge(VertexId u, VertexId v) EXCLUDES(update_mu_, mu_);
 

@@ -1,17 +1,17 @@
 // Randomized equivalence fuzzing for localized dynamic (k,h)-core
-// maintenance: 200+ insert/delete/mixed sequences through DynamicKhCore and
-// batched sequences through HCoreIndex::ApplyBatch, asserting exact
-// equality with a fresh decomposition after EVERY step and that the
-// localized/fallback counters always account for every applied update
-// (DynamicKhCore) / every dirty level (HCoreIndex). Region caps are swept
-// so the localized path, the overflow fallback, and the disabled path are
-// all exercised. The service leg repeats the game through the serving
-// tier: edit sequences where every ShardedHCoreService::ApplyBatch step is
-// compared against a fresh decomposition, plus writer-vs-concurrent-readers
-// view consistency. The TSan CI leg runs this suite (the concurrency tests
-// at the bottom are its target).
-
-#include "core/incremental.h"
+// maintenance through HCoreIndex, the one write path: 200+
+// insert/delete/mixed single-edit sequences (InsertEdge/DeleteEdge on an
+// index with max_h = h) and batched sequences (ApplyBatch), asserting exact
+// equality of every level with a fresh decomposition after EVERY step and
+// that the localized/fallback counters account for every dirty level of
+// every applied update. Region and batch caps are swept so the localized
+// path, the overflow fallback, and the all-fallback configuration
+// (max_batch = 0) are all exercised. The service leg repeats the game
+// through the serving tier: edit sequences where every
+// ShardedHCoreService::ApplyBatch step is compared against a fresh
+// decomposition, plus writer-vs-concurrent-readers view consistency. The
+// TSan CI leg runs this suite (the concurrency tests at the bottom are its
+// target).
 
 #include <atomic>
 #include <set>
@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/incremental.h"
 #include "graph/generators.h"
 #include "index/hcore_index.h"
 #include "serve/sharded_service.h"
@@ -41,150 +42,183 @@ std::vector<uint32_t> FreshCores(const Graph& g, int h) {
 
 enum class EditMode { kInsertOnly, kDeleteOnly, kMixed };
 
-/// One fuzz sequence: random edits against a DynamicKhCore, cross-checked
-/// against a fresh decomposition at every step. Adds the number of applied
-/// updates to `*applied_out` (void return: gtest ASSERTs live here).
+/// Totals over the single-edit sequences of one test.
+struct DynamicTally {
+  uint64_t applied = 0;    // edits that had an effect
+  uint64_t localized = 0;  // level repairs served by the localized path
+  uint64_t fallback = 0;   // level repairs served by the warm fallback
+};
+
+/// One fuzz sequence: random single edits against an HCoreIndex with
+/// max_h = h, every level 1..h cross-checked against a fresh decomposition
+/// at every step. Adds to `*tally` (void return: gtest ASSERTs live here).
 void RunDynamicSequence(const RandomGraphSpec& spec, int h, EditMode mode,
                         const LocalizedUpdateOptions& localized, int steps,
-                        uint64_t* applied_out = nullptr,
-                        const KhCoreOptions& base_opts = {}) {
-  Graph g = MakeRandomGraph(spec);
-  KhCoreOptions opts = base_opts;
-  opts.h = h;
-  DynamicKhCore dyn(g, opts, localized);
+                        DynamicTally* tally = nullptr,
+                        const KhCoreOptions& base = {}) {
+  HCoreIndexOptions iopts;
+  iopts.max_h = h;
+  iopts.base = base;
+  iopts.localized = localized;
+  HCoreIndex index(MakeRandomGraph(spec), iopts);
   Rng rng(spec.seed * 9176 + static_cast<uint64_t>(h) * 131 +
           static_cast<uint64_t>(mode));
   uint64_t applied = 0;
   for (int step = 0; step < steps; ++step) {
-    const VertexId n = dyn.graph().num_vertices();
+    const std::shared_ptr<const HCoreSnapshot> before = index.snapshot();
+    const VertexId n = before->graph().num_vertices();
     const bool insert = mode == EditMode::kInsertOnly ||
                         (mode == EditMode::kMixed && rng.NextBool(0.5));
     bool ok = false;
     if (insert) {
       // +2 occasionally grows the vertex set through an update.
-      ok = dyn.InsertEdge(rng.NextIndex(n + 2), rng.NextIndex(n + 2));
+      ok = index.InsertEdge(rng.NextIndex(n + 2), rng.NextIndex(n + 2));
     } else {
-      auto edges = dyn.graph().Edges();
+      auto edges = before->graph().Edges();
       if (edges.empty()) continue;
       auto [u, v] = edges[rng.NextIndex(static_cast<uint32_t>(edges.size()))];
-      ok = dyn.DeleteEdge(u, v);
+      ok = index.DeleteEdge(u, v);
     }
     if (ok) ++applied;
-    const std::vector<uint32_t> fresh = FreshCores(dyn.graph(), h);
-    ASSERT_EQ(dyn.result().core, fresh)
-        << spec.Name() << " h=" << h << " mode=" << static_cast<int>(mode)
-        << " step=" << step;
-    uint32_t degeneracy = 0;
-    for (uint32_t c : fresh) degeneracy = std::max(degeneracy, c);
-    ASSERT_EQ(dyn.result().degeneracy, degeneracy);
-    // Every applied update was served by exactly one of the two paths.
-    ASSERT_EQ(dyn.localized_updates() + dyn.fallback_repeels(), applied);
+    const std::shared_ptr<const HCoreSnapshot> after = index.snapshot();
+    for (int level = 1; level <= h; ++level) {
+      const std::vector<uint32_t> fresh = FreshCores(after->graph(), level);
+      ASSERT_EQ(after->Cores(level), fresh)
+          << spec.Name() << " h=" << h << " level=" << level
+          << " mode=" << static_cast<int>(mode) << " step=" << step;
+      uint32_t degeneracy = 0;
+      for (uint32_t c : fresh) degeneracy = std::max(degeneracy, c);
+      ASSERT_EQ(after->Degeneracy(level), degeneracy);
+    }
+    // Every level of every applied update was served by exactly one of the
+    // two paths.
+    const HCoreIndexStats stats = index.stats();
+    ASSERT_EQ(stats.localized_updates + stats.fallback_repeels,
+              static_cast<uint64_t>(h) * applied);
   }
-  if (applied_out != nullptr) *applied_out += applied;
+  if (tally != nullptr) {
+    const HCoreIndexStats stats = index.stats();
+    tally->applied += applied;
+    tally->localized += stats.localized_updates;
+    tally->fallback += stats.fallback_repeels;
+  }
 }
 
 TEST(DynamicFuzz, LocalizedPathMatchesFreshRunsAcrossEditModes) {
   // 162 sequences; graphs are small enough (region always under the
   // default cap) that every update must take the localized path.
-  uint64_t applied = 0;
+  DynamicTally tally;
   for (const RandomGraphSpec& spec : Corpus(36, 3)) {
     for (int h : {1, 2, 3}) {
       for (EditMode mode :
            {EditMode::kInsertOnly, EditMode::kDeleteOnly, EditMode::kMixed}) {
         LocalizedUpdateOptions localized_opts;  // defaults
-        RunDynamicSequence(spec, h, mode, localized_opts, 8, &applied);
+        RunDynamicSequence(spec, h, mode, localized_opts, 8, &tally);
         if (HasFatalFailure()) return;
       }
     }
   }
-  EXPECT_GT(applied, 500u);
+  EXPECT_GT(tally.applied, 500u);
+  EXPECT_EQ(tally.fallback, 0u);
 }
 
 TEST(DynamicFuzz, ParallelPeelMatchesFreshAcrossEditModes) {
-  // The parallel leg of the satellite: mixed edit sequences where BOTH
-  // maintenance paths run the round-synchronous parallel engine — the
-  // localized region re-peel (localized.parallel) and the warm whole-graph
-  // fallback (KhCoreOptions::parallel), forced on with a floor of 1 so
-  // these small graphs exercise it. Every step must match a fresh
-  // (sequential) decomposition. The TSan CI leg runs this suite.
+  // Mixed edit sequences where BOTH maintenance paths run the
+  // round-synchronous parallel engine — the localized region re-peel
+  // (localized.parallel) and the warm whole-graph fallback
+  // (KhCoreOptions::parallel), forced on with a floor of 1 so these small
+  // graphs exercise it. At max_h = 1 the region peel runs on the index's
+  // 4-thread updater; at max_h >= 2 the levels fan out onto 1-thread
+  // updaters instead (parallel_peel_test drives the 4-thread region peel
+  // at h = 2 and 3 directly). Every step must match a fresh (sequential)
+  // decomposition. The TSan CI leg runs this suite.
   KhCoreOptions par;
   par.num_threads = 4;
   par.parallel = ParallelPeelMode::kOn;
   par.parallel_min_vertices = 1;
-  uint64_t applied = 0;
+  DynamicTally tally;
   for (const RandomGraphSpec& spec : Corpus(36, 2)) {
     for (int h : {1, 2, 3}) {
       // Default caps: fully localized on these graphs.
       LocalizedUpdateOptions localized;
       localized.parallel = ParallelPeelMode::kOn;
       localized.parallel_min_vertices = 1;
-      RunDynamicSequence(spec, h, EditMode::kMixed, localized, 8, &applied,
+      RunDynamicSequence(spec, h, EditMode::kMixed, localized, 8, &tally,
                          par);
       if (HasFatalFailure()) return;
       // Tiny cap: overflow pushes updates onto the parallel warm fallback.
       LocalizedUpdateOptions tiny = localized;
       tiny.max_region_fraction = 0.0;
       tiny.min_region_cap = 4;
-      RunDynamicSequence(spec, h, EditMode::kMixed, tiny, 6, &applied, par);
+      RunDynamicSequence(spec, h, EditMode::kMixed, tiny, 6, &tally, par);
       if (HasFatalFailure()) return;
     }
   }
-  EXPECT_GT(applied, 300u);
+  EXPECT_GT(tally.applied, 300u);
+  EXPECT_GT(tally.fallback, 0u);
 }
 
 TEST(DynamicFuzz, TinyRegionCapForcesFallbackMixture) {
   // 36 sequences under a 4-vertex region cap: overflow is common, so both
   // the localized path and the warm fallback serve updates — and both must
   // stay exact. (The counter-sum assertion runs inside the sequence.)
+  DynamicTally tally;
   for (const RandomGraphSpec& spec : Corpus(36, 2)) {
     for (int h : {1, 2, 3}) {
       LocalizedUpdateOptions tiny;
       tiny.max_region_fraction = 0.0;
       tiny.min_region_cap = 4;
-      RunDynamicSequence(spec, h, EditMode::kMixed, tiny, 8);
+      RunDynamicSequence(spec, h, EditMode::kMixed, tiny, 8, &tally);
       if (HasFatalFailure()) return;
     }
   }
+  EXPECT_GT(tally.localized, 0u);
+  EXPECT_GT(tally.fallback, 0u);
 }
 
 TEST(DynamicFuzz, DisabledLocalizedPathStillExactAndCounted) {
-  // 12 sequences with the localized path off: pure warm fallback.
+  // 12 sequences with max_batch = 0: no batch fits the localized cap, so
+  // every level of every update takes the warm fallback.
+  DynamicTally tally;
   for (const RandomGraphSpec& spec : Corpus(36, 2)) {
     LocalizedUpdateOptions off;
-    off.enable = false;
-    Graph g = MakeRandomGraph(spec);
-    KhCoreOptions opts;
-    opts.h = 2;
-    DynamicKhCore dyn(g, opts, off);
-    RunDynamicSequence(spec, 2, EditMode::kMixed, off, 6);
+    off.max_batch = 0;
+    RunDynamicSequence(spec, 2, EditMode::kMixed, off, 6, &tally);
     if (HasFatalFailure()) return;
   }
+  EXPECT_GT(tally.applied, 0u);
+  EXPECT_EQ(tally.localized, 0u);
+  EXPECT_EQ(tally.fallback, 2 * tally.applied);
 }
 
 TEST(DynamicFuzz, DefaultCapKeepsSmallGraphUpdatesFullyLocalized) {
   // On a 36-vertex graph the default cap (min_region_cap = 64) can never
-  // overflow: all applied updates must report localized, none fallback.
+  // overflow: every level of every applied update must report localized,
+  // none fallback.
   RandomGraphSpec spec{"ba", 36, 5};
-  Graph g = MakeRandomGraph(spec);
-  KhCoreOptions opts;
-  opts.h = 2;
-  DynamicKhCore dyn(g, opts);
+  HCoreIndexOptions iopts;
+  iopts.max_h = 2;
+  HCoreIndex index(MakeRandomGraph(spec), iopts);
   Rng rng(77);
   uint64_t applied = 0;
   for (int step = 0; step < 16; ++step) {
-    const VertexId n = dyn.graph().num_vertices();
+    const std::shared_ptr<const HCoreSnapshot> snap = index.snapshot();
+    const VertexId n = snap->graph().num_vertices();
     if (rng.NextBool(0.5)) {
-      applied += dyn.InsertEdge(rng.NextIndex(n), rng.NextIndex(n)) ? 1 : 0;
+      applied += index.InsertEdge(rng.NextIndex(n), rng.NextIndex(n)) ? 1 : 0;
     } else {
-      auto edges = dyn.graph().Edges();
+      auto edges = snap->graph().Edges();
       auto [u, v] = edges[rng.NextIndex(static_cast<uint32_t>(edges.size()))];
-      applied += dyn.DeleteEdge(u, v) ? 1 : 0;
+      applied += index.DeleteEdge(u, v) ? 1 : 0;
     }
   }
   EXPECT_GT(applied, 0u);
-  EXPECT_EQ(dyn.localized_updates(), applied);
-  EXPECT_EQ(dyn.fallback_repeels(), 0u);
-  EXPECT_EQ(dyn.result().core, FreshCores(dyn.graph(), 2));
+  EXPECT_EQ(index.stats().localized_updates, 2 * applied);
+  EXPECT_EQ(index.stats().fallback_repeels, 0u);
+  for (int h = 1; h <= 2; ++h) {
+    EXPECT_EQ(index.snapshot()->Cores(h),
+              FreshCores(index.snapshot()->graph(), h));
+  }
 }
 
 /// A deterministic random edit batch against the current graph.
@@ -303,7 +337,7 @@ TEST(IndexFuzz, ApplyBatchMatchesFreshAndLevelCountersBalance) {
 
 TEST(IndexFuzz, ConcurrentDirtyLevelsMatchFreshAndCountersBalance) {
   // Concurrent per-level maintenance: dirty-level localized attempts fan
-  // out over the index-owned pool (concurrent_levels + base.num_threads).
+  // out over the index-owned pool (min(max_h, base.num_threads) >= 2).
   // Results and counters must be exactly those of the serial merge — the
   // Phase A attempts are independent, only their fan-out is concurrent.
   constexpr int kMaxH = 3;
@@ -313,7 +347,6 @@ TEST(IndexFuzz, ConcurrentDirtyLevelsMatchFreshAndCountersBalance) {
     HCoreIndexOptions iopts;
     iopts.max_h = kMaxH;
     iopts.base.num_threads = 4;
-    iopts.concurrent_levels = true;
     iopts.localized.max_region_fraction = 0.3;
     iopts.localized.min_region_cap = 8;
     iopts.localized.max_batch = 4;

@@ -367,17 +367,53 @@ TEST(HCoreIndex, ConcurrentReadersSeeConsistentEpochsDuringUpdates) {
   }
 }
 
-TEST(HCoreIndex, SingleEditConveniencesMirrorDynamicKhCore) {
-  Graph g = gen::PaperFigure1();
-  HCoreIndex index(g, IndexOptions(2));
-  EXPECT_FALSE(index.InsertEdge(0, 1));  // present
-  EXPECT_TRUE(index.InsertEdge(0, 3));
-  EXPECT_EQ(index.snapshot()->Cores(2),
-            FreshCores(index.snapshot()->graph(), 2));
-  EXPECT_TRUE(index.DeleteEdge(0, 3));
-  EXPECT_FALSE(index.DeleteEdge(0, 3));  // gone
-  EXPECT_EQ(index.snapshot()->Cores(2),
-            FreshCores(index.snapshot()->graph(), 2));
+/// Every level of the index's current snapshot equals a fresh run.
+void ExpectAllLevelsFresh(const HCoreIndex& index) {
+  auto snap = index.snapshot();
+  for (int h = 1; h <= index.max_h(); ++h) {
+    EXPECT_EQ(snap->Cores(h), FreshCores(snap->graph(), h)) << "h=" << h;
+  }
+}
+
+TEST(HCoreIndex, SingleEditsPromoteDemoteGrowAndRejectNoOps) {
+  {
+    // Figure 1: adding the edge v1-v4 (ids 0-3) raises v1's 2-degree;
+    // deleting it again restores the original decomposition.
+    HCoreIndex index(gen::PaperFigure1(), IndexOptions(2));
+    EXPECT_EQ(index.snapshot()->CoreOf(0, 2), 4u);
+    EXPECT_FALSE(index.InsertEdge(0, 1));  // present
+    EXPECT_TRUE(index.InsertEdge(0, 3));
+    ExpectAllLevelsFresh(index);
+    EXPECT_GE(index.snapshot()->CoreOf(0, 2), 4u);
+    EXPECT_TRUE(index.DeleteEdge(0, 3));
+    EXPECT_FALSE(index.DeleteEdge(0, 3));  // gone
+    ExpectAllLevelsFresh(index);
+  }
+  {
+    HCoreIndex index(gen::PaperFigure1(), IndexOptions(2));
+    EXPECT_TRUE(index.DeleteEdge(3, 4));  // v4-v5: breaks the cross pairing
+    ExpectAllLevelsFresh(index);
+  }
+  {
+    // No-op edits are rejected and publish no epoch.
+    HCoreIndex index(gen::Cycle(5), IndexOptions(2));
+    EXPECT_FALSE(index.InsertEdge(2, 2));   // self-loop
+    EXPECT_FALSE(index.InsertEdge(0, 1));   // already present
+    EXPECT_FALSE(index.DeleteEdge(0, 2));   // absent
+    EXPECT_FALSE(index.DeleteEdge(0, 99));  // out of range
+    EXPECT_EQ(index.snapshot()->epoch(), 0u);
+    EXPECT_EQ(index.stats().batches_applied, 0u);
+    ExpectAllLevelsFresh(index);
+  }
+  {
+    // An insert past the vertex count grows it; the isolated newcomers
+    // between the old count and the new endpoint have core 0.
+    HCoreIndex index(gen::Path(4), IndexOptions(2));
+    EXPECT_TRUE(index.InsertEdge(3, 6));  // vertices 4..6 appear
+    EXPECT_EQ(index.snapshot()->graph().num_vertices(), 7u);
+    ExpectAllLevelsFresh(index);
+    EXPECT_EQ(index.snapshot()->Spectrum(5), (std::vector<uint32_t>{0, 0}));
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "engine/parallel_peel.h"
 
 #include <atomic>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -255,34 +256,40 @@ TEST(ParallelPeel, AutoModePicksParallelOnlyPastTheFloor) {
 }
 
 TEST(ParallelRegionPeel, LocalizedInsertsMatchFreshDecomposition) {
-  // Forced-parallel region re-peels across an insert-heavy edit sequence:
-  // every step must match a fresh decomposition, and stay localized (the
-  // graph is far below the region cap).
+  // Forced-parallel region re-peels across an insert-heavy edit sequence,
+  // driven on a 4-thread LocalizedUpdater directly (through HCoreIndex,
+  // max_h >= 2 with >= 2 threads fans the levels out onto 1-thread
+  // updaters): every step must match a fresh decomposition, and stay
+  // localized (the graph is far below the region cap).
   for (int h : {1, 2, 3}) {
     RandomGraphSpec spec{"pp", 48, 3};
     Graph g = MakeRandomGraph(spec);
-    KhCoreOptions opts;
-    opts.h = h;
-    opts.num_threads = 4;
+    KhCoreOptions fresh_opts;
+    fresh_opts.h = h;
+    std::vector<uint32_t> core = KhCoreDecomposition(g, fresh_opts).core;
+    LocalizedUpdater updater(/*num_threads=*/4);
     LocalizedUpdateOptions localized;
     localized.parallel = ParallelPeelMode::kOn;
     localized.parallel_min_vertices = 1;
-    DynamicKhCore dyn(g, opts, localized);
     Rng rng(151 + h);
     uint64_t applied = 0;
     for (int step = 0; step < 20; ++step) {
-      const VertexId n = dyn.graph().num_vertices();
-      if (dyn.InsertEdge(rng.NextIndex(n + 1), rng.NextIndex(n + 1))) {
+      const VertexId n = g.num_vertices();
+      const EdgeEdit edit =
+          EdgeEdit::Insert(rng.NextIndex(n + 1), rng.NextIndex(n + 1));
+      std::vector<EdgeEdit> effective;
+      Graph next = g.WithEdits({&edit, 1}, nullptr, &effective);
+      if (!effective.empty()) {
+        ASSERT_TRUE(updater.UpdateLevel(g, next, effective, /*inserts=*/true,
+                                        h, &core, localized))
+            << "h=" << h << " step=" << step;
         ++applied;
       }
-      KhCoreOptions fresh_opts;
-      fresh_opts.h = h;
-      ASSERT_EQ(dyn.result().core,
-                KhCoreDecomposition(dyn.graph(), fresh_opts).core)
+      g = std::move(next);
+      ASSERT_EQ(core, KhCoreDecomposition(g, fresh_opts).core)
           << "h=" << h << " step=" << step;
     }
     EXPECT_GT(applied, 0u);
-    EXPECT_EQ(dyn.localized_updates(), applied);
   }
 }
 

@@ -286,9 +286,13 @@ TEST(ServeTier, PageSharingAcrossEpochs) {
   // On a multi-page substrate every published epoch shares its untouched
   // pages with the previous one: a 1-edit batch copies at most the two
   // pages holding the endpoints (plus growth tail pages, absent here).
+  // Page sharing does not depend on h, so one level keeps the per-epoch
+  // decompositions of this 5000-vertex graph cheap.
   Rng rng(31);
   Graph g = gen::BarabasiAlbert(5000, 3, &rng);
-  ShardedHCoreService service(Graph(g), ServiceOptions());
+  ShardedServiceOptions opts = ServiceOptions();
+  opts.index.max_h = 1;
+  ShardedHCoreService service(Graph(g), opts);
   const size_t pages = service.view()->graph().num_pages();
   ASSERT_GT(pages, 3u);
 

@@ -58,21 +58,31 @@
 //
 // The core-decomposition flags (--h, --algo/--algorithm, --threads,
 // --partition, --ordering, --parallel) map 1:1 onto KhCoreOptions and
-// apply to every
-// command that runs a decomposition (decompose, hierarchy, spectrum,
-// hclub, community, densest, serve). `spectrum` and `serve` read the sweep
-// depth from --h-max (alias: --max-h).
+// apply to every command that runs a decomposition (decompose, hierarchy,
+// spectrum, hclub, community, densest, serve, workload). `spectrum`,
+// `serve` and `workload` sweep every h up to --h-max (alias: --max-h)
+// instead of reading --h.
+//
+// Every command accepts only the flags it reads: an unknown flag, a stray
+// positional argument, a numeric value that does not parse completely or
+// lies outside its range (--h and --h-max in [1, 64], --threads and
+// --clients in [1, 256], ...), and an unknown enum value (--algo, --ordering,
+// --parallel, --solver, --model) are each rejected with one `error:` line
+// and exit status 1 before any work starts.
 //
 // Graphs are SNAP-format edge lists ('#'-comments, one "u v" per line).
 // Vertex ids printed by the tool refer to the relabeled ids (dense,
 // first-appearance order).
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -98,6 +108,133 @@ namespace {
 
 using namespace hcore;
 
+/// One flag a command reads. Numeric values must parse completely and lie
+/// in [min, max]; an enum value must be one of `choices` ('|'-separated); a
+/// switch takes no value.
+struct FlagSpec {
+  enum Kind { kString, kSwitch, kInt, kReal, kEnum };
+  std::string name;
+  Kind kind = kString;
+  double min = 0.0;
+  double max = 0.0;
+  std::string choices;
+};
+
+FlagSpec Str(const std::string& name) {
+  return {name, FlagSpec::kString, 0.0, 0.0, ""};
+}
+FlagSpec Switch(const std::string& name) {
+  return {name, FlagSpec::kSwitch, 0.0, 0.0, ""};
+}
+FlagSpec Int(const std::string& name, long long min, long long max) {
+  return {name, FlagSpec::kInt, static_cast<double>(min),
+          static_cast<double>(max), ""};
+}
+FlagSpec Real(const std::string& name, double min, double max) {
+  return {name, FlagSpec::kReal, min, max, ""};
+}
+FlagSpec Enum(const std::string& name, const std::string& choices) {
+  return {name, FlagSpec::kEnum, 0.0, 0.0, choices};
+}
+
+constexpr long long kMaxInt = std::numeric_limits<int>::max();
+/// Distance thresholds and sweep depths: far beyond any h the paper's
+/// measurements use, and a bound on the per-level memory of spectrum/serve.
+constexpr long long kMaxH = 64;
+/// Worker threads and workload clients (each client is a thread).
+constexpr long long kMaxThreads = 256;
+
+/// The decomposition flags CoreOptions reads (every command that runs a
+/// decomposition; --h is listed per command, since spectrum/serve/workload
+/// sweep every h up to --h-max instead).
+std::vector<FlagSpec> CoreFlags() {
+  return {Int("threads", 1, kMaxThreads), Int("partition", 0, kMaxInt),
+          Enum("algo", "auto|bz|lb|lbub"), Enum("algorithm", "auto|bz|lb|lbub"),
+          Enum("ordering", "auto|none|degree|bfs"),
+          Enum("parallel", "auto|on|off")};
+}
+
+/// Parses a whole decimal integer (leading whitespace and trailing junk
+/// rejected).
+bool ParseInteger(const std::string& text, long long* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  *out = std::strtoll(text.c_str(), &end, 10);
+  return errno == 0 && *end == '\0';
+}
+
+bool ParseReal(const std::string& text, double* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return errno == 0 && *end == '\0' && std::isfinite(*out);
+}
+
+/// Checks `value` against `spec`; on failure returns false with a message.
+bool ValidateFlag(const FlagSpec& spec, const std::string& value,
+                  bool has_value, std::string* error) {
+  const std::string flag = "--" + spec.name;
+  if (spec.kind == FlagSpec::kSwitch) {
+    if (has_value) *error = flag + " takes no value";
+    return !has_value;
+  }
+  if (!has_value) {
+    *error = flag + " needs a value (" + flag + "=...)";
+    return false;
+  }
+  switch (spec.kind) {
+    case FlagSpec::kInt: {
+      long long parsed = 0;
+      if (!ParseInteger(value, &parsed)) {
+        *error = flag + ": '" + value + "' is not an integer";
+        return false;
+      }
+      if (parsed < spec.min || parsed > spec.max) {
+        *error = flag + ": " + value + " is out of range [" +
+                 std::to_string(static_cast<long long>(spec.min)) + ", " +
+                 std::to_string(static_cast<long long>(spec.max)) + "]";
+        return false;
+      }
+      return true;
+    }
+    case FlagSpec::kReal: {
+      double parsed = 0.0;
+      if (!ParseReal(value, &parsed)) {
+        *error = flag + ": '" + value + "' is not a number";
+        return false;
+      }
+      if (parsed < spec.min || parsed > spec.max) {
+        std::ostringstream range;
+        range << flag << ": " << value << " is out of range [" << spec.min
+              << ", " << spec.max << "]";
+        *error = range.str();
+        return false;
+      }
+      return true;
+    }
+    case FlagSpec::kEnum: {
+      std::istringstream choices(spec.choices);
+      std::string choice;
+      while (std::getline(choices, choice, '|')) {
+        if (choice == value) return true;
+      }
+      *error = flag + ": unknown value '" + value + "' (expected " +
+               spec.choices + ")";
+      return false;
+    }
+    default:
+      return true;
+  }
+}
+
+/// Flag values of one command line, validated against the command's specs
+/// by ParseFlags — so the getters below never see a malformed value.
 struct Flags {
   std::map<std::string, std::string> values;
 
@@ -105,30 +242,45 @@ struct Flags {
     auto it = values.find(key);
     return it == values.end() ? def : it->second;
   }
-  int GetInt(const std::string& key, int def) const {
+  long long GetInt(const std::string& key, long long def) const {
     auto it = values.find(key);
-    return it == values.end() ? def : std::atoi(it->second.c_str());
+    return it == values.end() ? def : std::strtoll(it->second.c_str(),
+                                                   nullptr, 10);
   }
   double GetDouble(const std::string& key, double def) const {
     auto it = values.find(key);
-    return it == values.end() ? def : std::atof(it->second.c_str());
+    return it == values.end() ? def : std::strtod(it->second.c_str(), nullptr);
   }
   bool Has(const std::string& key) const { return values.count(key) > 0; }
 };
 
-Flags ParseFlags(int argc, char** argv) {
-  Flags flags;
+/// Parses argv[2..] as --name[=value] flags, rejecting anything that is not
+/// one of `specs` or whose value does not validate.
+bool ParseFlags(int argc, char** argv, const std::vector<FlagSpec>& specs,
+                Flags* flags, std::string* error) {
   for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags.values.insert_or_assign(arg.substr(2), std::string("1"));
-    } else {
-      flags.values.insert_or_assign(arg.substr(2, eq - 2), arg.substr(eq + 1));
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      *error = "unexpected argument '" + arg + "' (flags are --name=value)";
+      return false;
     }
+    const size_t eq = arg.find('=');
+    const bool has_value = eq != std::string::npos;
+    const std::string name =
+        arg.substr(2, has_value ? eq - 2 : std::string::npos);
+    const std::string value = has_value ? arg.substr(eq + 1) : "1";
+    const FlagSpec* spec = nullptr;
+    for (const FlagSpec& candidate : specs) {
+      if (candidate.name == name) spec = &candidate;
+    }
+    if (spec == nullptr) {
+      *error = "unknown flag --" + name + " for '" + argv[1] + "'";
+      return false;
+    }
+    if (!ValidateFlag(*spec, value, has_value, error)) return false;
+    flags->values.insert_or_assign(name, value);
   }
-  return flags;
+  return true;
 }
 
 int Fail(const std::string& message) {
@@ -179,17 +331,23 @@ int HMax(const Flags& flags, int def = 4) {
   return flags.GetInt("h-max", flags.GetInt("max-h", def));
 }
 
-std::vector<VertexId> ParseIdList(const std::string& s) {
-  std::vector<VertexId> out;
+/// Parses a comma-separated vertex id list; false on an empty or
+/// non-numeric entry or an id outside the VertexId range.
+bool ParseIdList(const std::string& s, std::vector<VertexId>* out) {
+  out->clear();
   size_t pos = 0;
-  while (pos < s.size()) {
+  while (pos <= s.size()) {
     size_t comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
-    out.push_back(
-        static_cast<VertexId>(std::atoi(s.substr(pos, comma - pos).c_str())));
+    long long id = 0;
+    if (!ParseInteger(s.substr(pos, comma - pos), &id) || id < 0 ||
+        id >= kInvalidVertex) {
+      return false;
+    }
+    out->push_back(static_cast<VertexId>(id));
     pos = comma + 1;
   }
-  return out;
+  return true;
 }
 
 int CmdDecompose(const Flags& flags) {
@@ -362,7 +520,10 @@ int CmdCommunity(const Flags& flags) {
   if (!g.ok()) return Fail(g.status().ToString());
   std::string q = flags.Get("query");
   if (q.empty()) return Fail("--query=v1,v2,... required");
-  std::vector<VertexId> query = ParseIdList(q);
+  std::vector<VertexId> query;
+  if (!ParseIdList(q, &query)) {
+    return Fail("--query: '" + q + "' is not a list of vertex ids");
+  }
   for (VertexId v : query) {
     if (v >= g.value().num_vertices()) return Fail("query vertex out of range");
   }
@@ -435,7 +596,6 @@ int CmdServe(const Flags& flags) {
   ShardedServiceOptions opts;
   opts.index.max_h = HMax(flags);
   opts.index.base = CoreOptions(flags);
-  if (opts.index.max_h < 1) return Fail("--h-max must be >= 1");
 
   std::printf("building index: n=%u m=%llu h_max=%d threads=%d ...\n",
               g.value().num_vertices(),
@@ -498,8 +658,12 @@ int CmdServe(const Flags& flags) {
         std::printf("error: usage community <h> <v1,v2,...>\n");
         continue;
       }
-      std::vector<VertexId> query = ParseIdList(ids);
-      bool valid = !query.empty();
+      std::vector<VertexId> query;
+      if (!ParseIdList(ids, &query)) {
+        std::printf("error: usage community <h> <v1,v2,...>\n");
+        continue;
+      }
+      bool valid = true;
       for (VertexId v : query) valid &= (v < n);
       if (!valid) {
         std::printf("error: query vertex out of range\n");
@@ -633,13 +797,12 @@ int CmdWorkload(const Flags& flags) {
   ShardedServiceOptions service_options;
   service_options.index.max_h = HMax(flags, 2);
   service_options.index.base = CoreOptions(flags);
-  if (service_options.index.max_h < 1) return Fail("--h-max must be >= 1");
   const int max_clients = flags.GetInt("saturation", 0);
-  if (flags.Has("saturation") && max_clients < 1) {
-    return Fail("--saturation=<max clients> must be >= 1");
-  }
 
   const Graph& graph = g.value();
+  if (graph.num_vertices() == 0) {
+    return Fail("the workload needs a non-empty graph");
+  }
   std::printf("building index: n=%u m=%llu h_max=%d ...\n",
               graph.num_vertices(),
               static_cast<unsigned long long>(graph.num_edges()),
@@ -705,10 +868,12 @@ int CmdGenerate(const Flags& flags) {
     g = gen::BarabasiAlbert(n, static_cast<uint32_t>(flags.GetInt("attach", 3)),
                             &rng);
   } else if (model == "gnp") {
-    g = gen::ErdosRenyiGnp(n, std::atof(flags.Get("p", "0.01").c_str()), &rng);
+    g = gen::ErdosRenyiGnp(n, flags.GetDouble("p", 0.01), &rng);
   } else if (model == "ws") {
-    g = gen::WattsStrogatz(n, static_cast<uint32_t>(flags.GetInt("k", 3)),
-                           std::atof(flags.Get("beta", "0.1").c_str()), &rng);
+    const long long k = flags.GetInt("k", 3);
+    if (n <= 2 * k) return Fail("--model=ws needs --n > 2 * --k");
+    g = gen::WattsStrogatz(n, static_cast<uint32_t>(k),
+                           flags.GetDouble("beta", 0.1), &rng);
   } else if (model == "road") {
     VertexId side = static_cast<VertexId>(std::max(2.0, std::sqrt(double(n))));
     g = gen::RoadLattice(side, side, 0.72, &rng);
@@ -740,20 +905,58 @@ int main(int argc, char** argv) {
     Usage();
     return 1;
   }
+  const std::vector<FlagSpec> core = CoreFlags();
+  auto with_core = [&core](std::vector<FlagSpec> specs) {
+    specs.insert(specs.end(), core.begin(), core.end());
+    return specs;
+  };
+  const FlagSpec input = Str("input");
+  const FlagSpec output = Str("output");
+  const FlagSpec h = Int("h", 1, kMaxH);
+  const FlagSpec h_max = Int("h-max", 1, kMaxH);
+  const FlagSpec max_h = Int("max-h", 1, kMaxH);  // legacy alias of --h-max
+  struct Command {
+    const char* name;
+    int (*run)(const Flags&);
+    std::vector<FlagSpec> flags;
+  };
+  const std::vector<Command> commands = {
+      {"decompose", CmdDecompose, with_core({input, output, h})},
+      {"hierarchy", CmdHierarchy,
+       with_core({input, h, Int("limit", 0, kMaxInt), Str("dot")})},
+      {"stats", CmdStats, {input}},
+      {"spectrum", CmdSpectrum, with_core({input, output, h_max, max_h})},
+      {"hclub", CmdHClub,
+       with_core({input, h, Enum("solver", "bb|it"), Switch("no-core"),
+                  Int("max-nodes", 0, kMaxInt)})},
+      {"hclique", CmdHClique, {input, h}},
+      {"coloring", CmdColoring, {input, h, output}},
+      {"community", CmdCommunity, with_core({input, h, Str("query")})},
+      {"densest", CmdDensest, with_core({input, h})},
+      {"generate", CmdGenerate,
+       {Enum("model", "ba|gnp|ws|road|cliques"), output,
+        Int("n", 1, kMaxInt), Int("seed", 0, kMaxInt),
+        Int("attach", 1, kMaxInt), Real("p", 0.0, 1.0), Int("k", 1, kMaxInt),
+        Real("beta", 0.0, 1.0)}},
+      {"serve", CmdServe,
+       with_core({input, h_max, max_h, Int("print-limit", 0, kMaxInt)})},
+      {"workload", CmdWorkload,
+       with_core({input, h_max, max_h, Str("mix"),
+                  Int("clients", 1, kMaxThreads), Int("ops", 1, kMaxInt),
+                  Real("zipf", 0.0, 100.0), Int("batch-edits", 1, 1 << 20),
+                  Int("seed", 0, kMaxInt), Switch("check"),
+                  Int("saturation", 1, kMaxThreads)})},
+  };
   const std::string cmd = argv[1];
-  const Flags flags = ParseFlags(argc, argv);
-  if (cmd == "decompose") return CmdDecompose(flags);
-  if (cmd == "hierarchy") return CmdHierarchy(flags);
-  if (cmd == "stats") return CmdStats(flags);
-  if (cmd == "spectrum") return CmdSpectrum(flags);
-  if (cmd == "hclub") return CmdHClub(flags);
-  if (cmd == "hclique") return CmdHClique(flags);
-  if (cmd == "coloring") return CmdColoring(flags);
-  if (cmd == "community") return CmdCommunity(flags);
-  if (cmd == "densest") return CmdDensest(flags);
-  if (cmd == "generate") return CmdGenerate(flags);
-  if (cmd == "serve") return CmdServe(flags);
-  if (cmd == "workload") return CmdWorkload(flags);
+  for (const Command& command : commands) {
+    if (cmd != command.name) continue;
+    Flags flags;
+    std::string error;
+    if (!ParseFlags(argc, argv, command.flags, &flags, &error)) {
+      return Fail(error);
+    }
+    return command.run(flags);
+  }
   Usage();
   return 1;
 }

@@ -128,29 +128,6 @@ StreamResult RunScratch(const std::string& dataset, Graph g, int h,
   return out;
 }
 
-/// Heterogeneous clustered graph: communities of varying size (8..72) and
-/// density, plus sparse random bridges (~n/32 edges). Community cores vary,
-/// so candidate regions stop at community boundaries.
-Graph Clustered(VertexId n, Rng* rng) {
-  GraphBuilder b(n);
-  VertexId v = 0;
-  while (v < n) {
-    VertexId size = 8 + rng->NextIndex(65);
-    if (v + size > n) size = n - v;
-    const double p = std::min(1.0, (4.0 + 8.0 * rng->NextDouble()) / size);
-    for (VertexId i = 0; i < size; ++i) {
-      for (VertexId j = i + 1; j < size; ++j) {
-        if (rng->NextBool(p)) b.AddEdge(v + i, v + j);
-      }
-    }
-    v += size;
-  }
-  for (VertexId e = 0; e < n / 32; ++e) {
-    b.AddEdge(rng->NextIndex(n), rng->NextIndex(n));
-  }
-  return b.Build();
-}
-
 void PrintRow(const StreamResult& r) {
   std::printf("%-7s h=%-2d %-9s %5d %12.3f %14.0f %6llu/%llu\n",
               r.dataset.c_str(), r.h, r.mode.c_str(), r.edits, r.MsPerEdit(),
@@ -224,7 +201,7 @@ int main(int argc, char** argv) {
   // edit (it measures 20-60x here; most edits re-peel one community).
   {
     Rng gen_rng(9);
-    Graph g = Clustered(100000, &gen_rng);
+    Graph g = gen::Clustered(100000, &gen_rng);
     for (int h : args.full ? std::vector<int>{2, 3} : std::vector<int>{2}) {
       const uint64_t seed = 1234;
       StreamResult localized = RunDynamic("clu100k", g, h, "localized", on,

@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "graph/generators.h"
 #include "latency.h"
 #include "serve/workload.h"
 #include "util/rng.h"
@@ -55,29 +56,6 @@
 namespace {
 
 using namespace hcore;
-
-/// Heterogeneous clustered serving substrate: communities of varying size
-/// and density plus sparse random bridges, so innermost-core components
-/// are community-sized.
-Graph Clustered(VertexId n, Rng* rng) {
-  GraphBuilder b(n);
-  VertexId v = 0;
-  while (v < n) {
-    VertexId size = 8 + rng->NextIndex(65);
-    if (v + size > n) size = n - v;
-    const double p = std::min(1.0, (4.0 + 8.0 * rng->NextDouble()) / size);
-    for (VertexId i = 0; i < size; ++i) {
-      for (VertexId j = i + 1; j < size; ++j) {
-        if (rng->NextBool(p)) b.AddEdge(v + i, v + j);
-      }
-    }
-    v += size;
-  }
-  for (VertexId e = 0; e < n / 32; ++e) {
-    b.AddEdge(rng->NextIndex(n), rng->NextIndex(n));
-  }
-  return b.Build();
-}
 
 std::vector<WorkloadMix> Mixes() {
   WorkloadMix read_heavy;
@@ -311,7 +289,7 @@ int main(int argc, char** argv) {
     n = static_cast<VertexId>(1000000 * args.scale_override);
   }
   Rng gen_rng(47);
-  Graph g = Clustered(n, &gen_rng);
+  Graph g = gen::Clustered(n, &gen_rng);
   std::printf("graph: n=%u m=%llu hardware_threads=%u (%s)\n",
               g.num_vertices(), static_cast<unsigned long long>(g.num_edges()),
               std::thread::hardware_concurrency(),

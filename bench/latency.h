@@ -2,14 +2,13 @@
 //
 // One percentile implementation for every bench that collects raw per-query
 // latencies: sort once, index by hcore::NearestRankIndex (serve/workload.h)
-// — the exact nearest-rank formula ceil(p*n)-1, 0-based. This replaced the
-// ad-hoc floor(p*n) indexing that used to live in bench_serve_scatter's
-// Summarize: that formula was one rank HIGH for most n (p50 of 100 samples
-// returned the 51st value; p99 of fewer than 100 samples returned the max
-// even when a true p99 rank existed), silently inflating every reported
-// percentile. The workload driver's LatencyHistogram uses the same rank
-// formula, so histogram and sorted-vector summaries agree at bucket
-// resolution (locked by tests/workload_test.cc).
+// — the exact nearest-rank formula ceil(p*n)-1, 0-based. The tempting
+// floor(p*n) index is one rank HIGH for most n (p50 of 100 samples returns
+// the 51st value; p99 of fewer than 100 samples returns the max even when a
+// true p99 rank exists), inflating every percentile. The workload driver's
+// LatencyHistogram uses the same rank formula, so histogram and
+// sorted-vector summaries agree at bucket resolution (locked by
+// tests/workload_test.cc).
 
 #ifndef HCORE_BENCH_LATENCY_H_
 #define HCORE_BENCH_LATENCY_H_

@@ -51,9 +51,6 @@ void LocalizedUpdateStats::Add(const LocalizedUpdateStats& other) {
   decrement_updates += other.decrement_updates;
 }
 
-LocalizedUpdater::LocalizedUpdater(int num_threads)
-    : degrees_(0, num_threads), peeler_(&degrees_) {}
-
 /// Subgraph view for the delete cascade's violation test: the level set
 /// {u : cur(u) >= level} (see the strategy comment in incremental.h).
 struct LevelMask {
@@ -118,9 +115,8 @@ bool LocalizedUpdater::InsertUpdate(const Graph& g_after,
   bound += 1;
 
   // The updater processes one batch at a time, driven end-to-end by the
-  // calling thread — it coordinates the computer and the peeler.
+  // calling thread — it coordinates the computer.
   degrees_.coordinator().Assume();
-  peeler_.coordinator().Assume();
   degrees_.EnsureCapacity(n);
   if (pinned_.size() < n) pinned_.resize(n, 0);
 
@@ -151,47 +147,14 @@ bool LocalizedUpdater::InsertUpdate(const Graph& g_after,
     for (const VertexId v : cr.boundary) mask_.Revive(v);
     for (const VertexId v : cr.boundary) pinned_[v] = 1;
 
-    const uint64_t peel_size = cr.region.size() + cr.boundary.size();
-    if (UseParallelPeelForH(options.parallel, degrees_.num_threads(), h,
-                            peel_size, options.parallel_min_vertices)) {
-      // Parallel twin of PeelRegion: boundary vertices pinned at their old
-      // core (claimed exactly there, never recomputed), region vertices at
-      // their h-degree over the mask, then the round-synchronous sweep.
-      if (peel_keys_.size() < n) peel_keys_.resize(n, 0);
-      for (const VertexId b : cr.boundary) peel_keys_[b] = next_core_[b];
-      region_keys_.resize(cr.region.size());
-      degrees_.ComputeBatch(g_after, mask_, h, cr.region, region_keys_.data());
-      for (size_t i = 0; i < cr.region.size(); ++i) {
-        peel_keys_[cr.region[i]] = region_keys_[i];
-      }
-      peel_vertices_.assign(cr.region.begin(), cr.region.end());
-      peel_vertices_.insert(peel_vertices_.end(), cr.boundary.begin(),
-                            cr.boundary.end());
-      PeelingStats stats;
-      stats.hdegree_computations += cr.region.size();
-      peeler_.Peel(g_after, h, &mask_, peel_vertices_, &peel_keys_,
-                   /*lazy=*/nullptr, &pinned_, 0, n, &stats,
-                   [this](VertexId v, uint32_t k) {
-                     if (pinned_[v]) {
-                       HCORE_DCHECK(k == next_core_[v]);
-                     } else {
-                       next_core_[v] = k;
-                     }
-                   });
-      for (const VertexId v : cr.boundary) pinned_[v] = 0;
-      local->visited += degrees_.total_visited() - degree_visits_before;
-      local->hdegree_computations += stats.hdegree_computations;
-      local->decrement_updates += stats.decrement_updates;
-    } else {
-      PeelingEngine engine(g_after, h, &mask_, &degrees_, n);
-      LocalizedPolicy policy(pinned_, &next_core_, h);
-      engine.PeelRegion(cr.region, cr.boundary, next_core_, policy);
+    PeelingEngine engine(g_after, h, &mask_, &degrees_, n);
+    LocalizedPolicy policy(pinned_, &next_core_, h);
+    engine.PeelRegion(cr.region, cr.boundary, next_core_, policy);
 
-      for (const VertexId v : cr.boundary) pinned_[v] = 0;
-      local->visited += degrees_.total_visited() - degree_visits_before;
-      local->hdegree_computations += engine.stats().hdegree_computations;
-      local->decrement_updates += engine.stats().decrement_updates;
-    }
+    for (const VertexId v : cr.boundary) pinned_[v] = 0;
+    local->visited += degrees_.total_visited() - degree_visits_before;
+    local->hdegree_computations += engine.stats().hdegree_computations;
+    local->decrement_updates += engine.stats().decrement_updates;
 
     // Certificate check (pinned endpoints report their old core, which is
     // exactly what the min compares against).

@@ -40,6 +40,12 @@
 // the graph). Both paths return exactly the decomposition a fresh run would
 // produce; the fuzz suite (tests/incremental_fuzz_test.cc) checks that at
 // every step, for single edits and batches alike.
+//
+// Threads: the localized path runs on the calling thread, one level after
+// another. Its regions are capped small, and the h = max_h level dominates
+// a batch's repair cost, so neither a parallel region peel nor running
+// levels concurrently measured faster (README "Parallel peeling"). Threads
+// act on the whole-graph fallback only (KhCoreOptions::num_threads).
 
 #ifndef HCORE_CORE_INCREMENTAL_H_
 #define HCORE_CORE_INCREMENTAL_H_
@@ -49,7 +55,6 @@
 #include <span>
 #include <vector>
 
-#include "engine/parallel_peel.h"
 #include "engine/vertex_mask.h"
 #include "graph/graph.h"
 #include "traversal/h_degree.h"
@@ -69,12 +74,6 @@ struct LocalizedUpdateOptions {
   /// skip discovery entirely (their joint region is rarely local); 0 sends
   /// every batch to the warm fallback.
   size_t max_batch = 8;
-  /// Round-synchronous parallel region peel (engine/parallel_peel.h):
-  /// candidate regions whose peel (region + boundary) clears the size gate
-  /// run on the updater's thread pool instead of the sequential bucket
-  /// loop. Results are identical; small regions keep sequential latency.
-  ParallelPeelMode parallel = ParallelPeelMode::kAuto;
-  uint64_t parallel_min_vertices = kParallelPeelAutoMinVertices;
 
   size_t MaxRegion(VertexId n) const {
     return std::max(min_region_cap,
@@ -102,11 +101,10 @@ struct LocalizedUpdateStats {
 };
 
 /// Localized re-peel machinery with scratch reused across updates (BFS
-/// buffers, masks, the region finder). Not thread-safe; callers serialize.
+/// buffers, masks, the region finder). Single-threaded (see the header
+/// comment); not thread-safe, callers serialize.
 class LocalizedUpdater {
  public:
-  explicit LocalizedUpdater(int num_threads = 1);
-
   /// Advances `core` — the exact (k,h)-core indexes of `g_before` at
   /// threshold `h` — across a pure batch of edits, in place. `g_after` must
   /// be `g_before.WithEdits(...)` and `effective` the edits it actually
@@ -132,8 +130,7 @@ class LocalizedUpdater {
                      const LocalizedUpdateOptions& options,
                      LocalizedUpdateStats* local);
 
-  HDegreeComputer degrees_;
-  ParallelPeeler peeler_;
+  HDegreeComputer degrees_{0, /*num_threads=*/1};
   RegionFinder finder_;
   BoundedBfs cascade_bfs_;
   VertexMask mask_;
@@ -141,11 +138,6 @@ class LocalizedUpdater {
   std::vector<uint32_t> base_core_;
   std::vector<uint32_t> next_core_;
   std::vector<VertexId> worklist_;
-  // Parallel region-peel scratch: per-vertex keys and the region ∪ boundary
-  // candidate list.
-  std::vector<uint32_t> peel_keys_;
-  std::vector<uint32_t> region_keys_;
-  std::vector<VertexId> peel_vertices_;
 };
 
 }  // namespace hcore

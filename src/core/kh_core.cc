@@ -108,8 +108,8 @@ class Decomposer {
       degrees_.ComputeAllAlive(g_, alive_, h_, &engine_.keys());
       engine_.stats().hdegree_computations += n_;
       peeler_.Peel(g_, h_, &alive_, AllVertices(), &engine_.keys(),
-                   /*lazy=*/nullptr, /*pinned=*/nullptr, 0, n_,
-                   &engine_.stats(), [this](VertexId v, uint32_t k) {
+                   /*lazy=*/nullptr, 0, n_, &engine_.stats(),
+                   [this](VertexId v, uint32_t k) {
                      result_.core[v] = k;
                      assigned_[v] = 1;
                    });
@@ -184,9 +184,8 @@ class Decomposer {
         keys[v] = lb[v];
       }
       peeler_.coordinator().Assume();  // Run()'s driver thread
-      peeler_.Peel(g_, h_, &alive_, AllVertices(), &keys, &set_lb_,
-                   /*pinned=*/nullptr, 0, n_, &engine_.stats(),
-                   [this](VertexId v, uint32_t k) {
+      peeler_.Peel(g_, h_, &alive_, AllVertices(), &keys, &set_lb_, 0, n_,
+                   &engine_.stats(), [this](VertexId v, uint32_t k) {
                      if (!assigned_[v]) {
                        result_.core[v] = k;
                        assigned_[v] = 1;
@@ -292,9 +291,8 @@ class Decomposer {
       });
       const std::vector<VertexId> window = alive_.AliveVertices();
       peeler_.coordinator().Assume();  // Run()'s driver thread
-      peeler_.Peel(g_, h_, &alive_, window, &keys, &set_lb_,
-                   /*pinned=*/nullptr, k_min, k_max, &engine_.stats(),
-                   [this, k_min](VertexId v, uint32_t k) {
+      peeler_.Peel(g_, h_, &alive_, window, &keys, &set_lb_, k_min, k_max,
+                   &engine_.stats(), [this, k_min](VertexId v, uint32_t k) {
                      if (k >= k_min && !assigned_[v]) {
                        result_.core[v] = k;
                        assigned_[v] = 1;

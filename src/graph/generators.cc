@@ -310,6 +310,29 @@ Graph PlantedPartition(uint32_t communities, VertexId block_size, double p_in,
   return b.Build();
 }
 
+Graph Clustered(VertexId n, Rng* rng,
+                std::vector<VertexId>* community_sizes) {
+  GraphBuilder b(n);
+  if (community_sizes != nullptr) community_sizes->clear();
+  VertexId v = 0;
+  while (v < n) {
+    VertexId size = 8 + rng->NextIndex(65);
+    if (v + size > n) size = n - v;
+    if (community_sizes != nullptr) community_sizes->push_back(size);
+    const double p = std::min(1.0, (4.0 + 8.0 * rng->NextDouble()) / size);
+    for (VertexId i = 0; i < size; ++i) {
+      for (VertexId j = i + 1; j < size; ++j) {
+        if (rng->NextBool(p)) b.AddEdge(v + i, v + j);
+      }
+    }
+    v += size;
+  }
+  for (VertexId e = 0; e < n / 32; ++e) {
+    b.AddEdge(rng->NextIndex(n), rng->NextIndex(n));
+  }
+  return b.Build();
+}
+
 Graph StarHeavySocial(VertexId n, uint64_t target_edges, uint32_t hubs,
                       double hub_fraction, Rng* rng) {
   Graph backbone = ChungLuPowerLaw(n, target_edges, 2.5, rng);

@@ -87,6 +87,15 @@ Graph RoadLattice(VertexId rows, VertexId cols, double keep_prob, Rng* rng);
 Graph PlantedPartition(uint32_t communities, VertexId block_size, double p_in,
                        double p_out, Rng* rng);
 
+/// Heterogeneous clustered graph (the serving benches' substrate):
+/// consecutive communities of 8..72 vertices (the last one clipped to fit
+/// n), each a random graph with 4..12 expected internal degree, plus n/32
+/// random bridges. Community cores vary, so localized-repair regions stop
+/// at community boundaries. `community_sizes`, when non-null, receives the
+/// community sizes in id order.
+Graph Clustered(VertexId n, Rng* rng,
+                std::vector<VertexId>* community_sizes = nullptr);
+
 /// Social-like graph with star-heavy degree spikes (sytb/hyves class):
 /// Chung–Lu backbone plus `hubs` vertices connected to a large random
 /// fraction of the graph.

@@ -152,7 +152,7 @@ std::vector<HCoreSnapshot::LevelDensity> HCoreSnapshot::TopDensestLevels(
 // ---------------------------------------------------------------------------
 
 HCoreIndex::HCoreIndex(Graph g, const HCoreIndexOptions& options)
-    : options_(options), updater_(options.base.num_threads) {
+    : options_(options) {
   HCORE_CHECK(options_.max_h >= 1);
   // Bound pointers are managed per level by the index; caller-supplied ones
   // would dangle across epochs.
@@ -225,166 +225,115 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
       peel = &relabeled;
     }
   };
-  // Phase A: localized attempts. Dirty levels are independent of each other
-  // (only the warm FALLBACK consumes the spectrum chain, where level h - 1
-  // of this epoch seeds level h), so when the index has threads the
-  // attempts fan out on the index-owned pool — per-level single-threaded
-  // updaters, outcomes merged deterministically in the loop below.
-  struct LocalizedOutcome {
-    bool ok = false;
-    std::vector<uint32_t> core;
-    LocalizedUpdateStats ls;
-  };
-  std::vector<LocalizedOutcome> outcomes;
-  if (try_localized) {
-    outcomes.resize(options_.max_h);
-    auto attempt = [&](LocalizedUpdater& updater, int h,
-                       LocalizedOutcome& out) {
-      out.core = *prev->levels_[h - 1].core;
-      if (!mixed) {
-        out.ok = updater.UpdateLevel(prev->graph(), g, effective, pure_insert,
-                                     h, &out.core, options_.localized,
-                                     &out.ls);
-        return;
-      }
-      // Mixed chain: deletes against prev -> g_mid, then inserts against
-      // g_mid -> g; either phase overflowing rejects the whole attempt and
-      // the level falls back warm. Stats accumulate across both phases.
-      out.ok = updater.UpdateLevel(prev->graph(), g_mid, chain_deletes,
-                                   /*inserts=*/false, h, &out.core,
-                                   options_.localized, &out.ls);
-      if (!out.ok) return;
-      LocalizedUpdateStats insert_ls;
-      out.ok = updater.UpdateLevel(g_mid, g, chain_inserts, /*inserts=*/true,
-                                   h, &out.core, options_.localized,
-                                   &insert_ls);
-      out.ls.Add(insert_ls);
-    };
-    const int fan =
-        std::min(options_.max_h, std::max(1, options_.base.num_threads));
-    if (fan > 1) {
-      if (level_pool_ == nullptr) {
-        level_pool_ = std::make_unique<ThreadPool>(fan);
-      }
-      if (level_updaters_.size() < static_cast<size_t>(options_.max_h)) {
-        level_updaters_.resize(options_.max_h);
-      }
-      for (int h = 1; h <= options_.max_h; ++h) {
-        if (level_updaters_[h - 1] == nullptr) {
-          level_updaters_[h - 1] = std::make_unique<LocalizedUpdater>(1);
-        }
-      }
-      TaskGroup group(level_pool_.get());
-      for (int h = 1; h <= options_.max_h; ++h) {
-        // Hoist the per-level updater/outcome out of the guarded containers
-        // on the coordinator (which holds update_mu_): the worker-side
-        // lambda is analyzed as an unannotated function and must not touch
-        // GUARDED_BY members — and indeed must not, since workers do not
-        // hold the writer lock. Each task owns its hoisted pointers
-        // exclusively until group.Wait().
-        LocalizedUpdater* updater = level_updaters_[h - 1].get();
-        LocalizedOutcome* out = &outcomes[h - 1];
-        group.Run([&attempt, updater, h, out] { attempt(*updater, h, *out); });
-      }
-      group.Wait();
-    } else {
-      for (int h = 1; h <= options_.max_h; ++h) {
-        attempt(updater_, h, outcomes[h - 1]);
-      }
-    }
-  }
-
-  // Phase B: merge outcomes in level order; levels whose attempt failed (or
-  // with no attempt at all) take the warm whole-graph fallback.
   std::vector<HCoreSnapshot::Level> levels(options_.max_h);
   const std::vector<uint32_t>* prev_level = nullptr;  // this epoch, h - 1
   std::vector<uint32_t> lower, upper;
   for (int h = 1; h <= options_.max_h; ++h) {
     const std::vector<uint32_t>* old_core =
         prev != nullptr ? prev->levels_[h - 1].core.get() : nullptr;
-    HCoreSnapshot::Level& level = levels[h - 1];
-    if (try_localized && outcomes[h - 1].ok) {
-      LocalizedOutcome& out = outcomes[h - 1];
-      if (stats != nullptr) {
-        ++stats->localized_updates;
-        stats->decomposition.visited_vertices += out.ls.visited;
-        stats->decomposition.hdegree_computations +=
-            out.ls.hdegree_computations;
-        stats->decomposition.decrement_updates += out.ls.decrement_updates;
-      }
-      uint32_t degeneracy = 0;
-      for (const uint32_t c : out.core) degeneracy = std::max(degeneracy, c);
-      level.degeneracy = degeneracy;
-      // The mixed chain can report phase-local changes that cancel out
-      // (demoted by the deletes, restored by the inserts), so a nonzero
-      // counter is confirmed by comparing the vectors.
-      if (out.core.size() == old_core->size() &&
-          (out.ls.changed == 0 || out.core == *old_core)) {
-        // Dirty flag stayed clean: share the previous epoch's vector.
-        level.core = prev->levels_[h - 1].core;
-        level.reused = true;
-        if (stats != nullptr) ++stats->levels_unchanged;
+    std::vector<uint32_t> core;
+    uint32_t degeneracy = 0;
+    // False only when a localized repair reports no changed vertex, which
+    // lets the dirty-flag check below skip the vector comparison.
+    bool maybe_changed = true;
+    bool localized = false;
+    if (try_localized) {
+      core = *old_core;
+      LocalizedUpdateStats ls;
+      if (!mixed) {
+        localized = updater_.UpdateLevel(prev->graph(), g, effective,
+                                         pure_insert, h, &core,
+                                         options_.localized, &ls);
       } else {
-        level.core = std::make_shared<const std::vector<uint32_t>>(
-            std::move(out.core));
-      }
-      prev_level = level.core.get();
-      continue;
-    }
-    if (stats != nullptr && prev != nullptr) ++stats->fallback_repeels;
-    resolve_order();
-    KhCoreOptions opts = options_.base;
-    opts.h = h;
-    opts.ordering = VertexOrdering::kNone;
-    if (h > 1) {
-      // Warm start, two sources combined (both in original ids):
-      //  * spectrum chain: core_{h-1} of THIS epoch lower-bounds core_h
-      //    (monotone in h);
-      //  * incremental bounds vs the previous epoch: after a pure-insert
-      //    batch old cores are lower bounds, after a pure-delete batch they
-      //    are upper bounds (mixed batches get neither).
-      lower.assign(n, 0);
-      if (prev_level != nullptr) {
-        std::copy(prev_level->begin(), prev_level->end(), lower.begin());
-      }
-      if (pure_insert && old_core != nullptr) {
-        const size_t limit = std::min<size_t>(old_core->size(), n);
-        for (size_t v = 0; v < limit; ++v) {
-          lower[v] = std::max(lower[v], (*old_core)[v]);
+        // Mixed chain: deletes against prev -> g_mid, then inserts against
+        // g_mid -> g; either phase overflowing rejects the whole attempt
+        // and the level falls back warm. Stats accumulate across both
+        // phases.
+        localized = updater_.UpdateLevel(prev->graph(), g_mid, chain_deletes,
+                                         /*inserts=*/false, h, &core,
+                                         options_.localized, &ls);
+        if (localized) {
+          LocalizedUpdateStats insert_ls;
+          localized = updater_.UpdateLevel(g_mid, g, chain_inserts,
+                                           /*inserts=*/true, h, &core,
+                                           options_.localized, &insert_ls);
+          ls.Add(insert_ls);
         }
       }
-      if (!order.empty()) lower = GatherByPermutation(lower, order);
-      opts.extra_lower_bound = &lower;
-      if (pure_delete && old_core != nullptr) {
-        upper = *old_core;  // deletes never grow the vertex set
-        if (!order.empty()) upper = GatherByPermutation(upper, order);
-        opts.extra_upper_bound = &upper;
-        // Only h-LB+UB consumes an upper bound.
-        opts.algorithm = KhCoreAlgorithm::kLbUb;
+      if (localized) {
+        if (stats != nullptr) {
+          ++stats->localized_updates;
+          stats->decomposition.visited_vertices += ls.visited;
+          stats->decomposition.hdegree_computations += ls.hdegree_computations;
+          stats->decomposition.decrement_updates += ls.decrement_updates;
+        }
+        for (const uint32_t c : core) degeneracy = std::max(degeneracy, c);
+        // The mixed chain can report phase-local changes that cancel out
+        // (demoted by the deletes, restored by the inserts), so a nonzero
+        // counter is confirmed by comparing the vectors.
+        maybe_changed = ls.changed != 0;
       }
     }
-    KhCoreResult r = KhCoreDecomposition(*peel, opts);
-    if (!order.empty()) r.core = ScatterByPermutation(r.core, order);
-    if (stats != nullptr) {
-      ++stats->level_decompositions;
-      stats->decomposition.visited_vertices += r.stats.visited_vertices;
-      stats->decomposition.hdegree_computations +=
-          r.stats.hdegree_computations;
-      stats->decomposition.decrement_updates += r.stats.decrement_updates;
-      stats->decomposition.pops += r.stats.pops;
-      stats->decomposition.partitions += r.stats.partitions;
-      stats->decomposition.seconds += r.stats.seconds;
-      stats->decomposition.bound_seconds += r.stats.bound_seconds;
+    if (!localized) {
+      if (stats != nullptr && prev != nullptr) ++stats->fallback_repeels;
+      resolve_order();
+      KhCoreOptions opts = options_.base;
+      opts.h = h;
+      opts.ordering = VertexOrdering::kNone;
+      if (h > 1) {
+        // Warm start, two sources combined (both in original ids):
+        //  * spectrum chain: core_{h-1} of THIS epoch lower-bounds core_h
+        //    (monotone in h);
+        //  * incremental bounds vs the previous epoch: after a pure-insert
+        //    batch old cores are lower bounds, after a pure-delete batch
+        //    they are upper bounds (mixed batches get neither).
+        lower.assign(n, 0);
+        if (prev_level != nullptr) {
+          std::copy(prev_level->begin(), prev_level->end(), lower.begin());
+        }
+        if (pure_insert && old_core != nullptr) {
+          const size_t limit = std::min<size_t>(old_core->size(), n);
+          for (size_t v = 0; v < limit; ++v) {
+            lower[v] = std::max(lower[v], (*old_core)[v]);
+          }
+        }
+        if (!order.empty()) lower = GatherByPermutation(lower, order);
+        opts.extra_lower_bound = &lower;
+        if (pure_delete && old_core != nullptr) {
+          upper = *old_core;  // deletes never grow the vertex set
+          if (!order.empty()) upper = GatherByPermutation(upper, order);
+          opts.extra_upper_bound = &upper;
+          // Only h-LB+UB consumes an upper bound.
+          opts.algorithm = KhCoreAlgorithm::kLbUb;
+        }
+      }
+      KhCoreResult r = KhCoreDecomposition(*peel, opts);
+      if (!order.empty()) r.core = ScatterByPermutation(r.core, order);
+      if (stats != nullptr) {
+        ++stats->level_decompositions;
+        stats->decomposition.visited_vertices += r.stats.visited_vertices;
+        stats->decomposition.hdegree_computations +=
+            r.stats.hdegree_computations;
+        stats->decomposition.decrement_updates += r.stats.decrement_updates;
+        stats->decomposition.pops += r.stats.pops;
+        stats->decomposition.partitions += r.stats.partitions;
+        stats->decomposition.seconds += r.stats.seconds;
+        stats->decomposition.bound_seconds += r.stats.bound_seconds;
+      }
+      core = std::move(r.core);
+      degeneracy = r.degeneracy;
     }
-    level.degeneracy = r.degeneracy;
-    if (old_core != nullptr && *old_core == r.core) {
+    HCoreSnapshot::Level& level = levels[h - 1];
+    level.degeneracy = degeneracy;
+    if (old_core != nullptr && core.size() == old_core->size() &&
+        (!maybe_changed || core == *old_core)) {
       // Dirty flag stayed clean: share the previous epoch's vector.
       level.core = prev->levels_[h - 1].core;
       level.reused = true;
       if (stats != nullptr) ++stats->levels_unchanged;
     } else {
       level.core =
-          std::make_shared<const std::vector<uint32_t>>(std::move(r.core));
+          std::make_shared<const std::vector<uint32_t>>(std::move(core));
     }
     prev_level = level.core.get();
   }

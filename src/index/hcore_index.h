@@ -44,7 +44,6 @@
 #include "graph/graph.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace hcore {
 
@@ -59,15 +58,6 @@ struct HCoreIndexOptions {
   /// re-peel only the candidate region per level, falling back to the warm
   /// whole-graph re-decomposition past the region/batch caps
   /// (`localized.max_batch = 0` sends every level to the fallback).
-  ///
-  /// When min(max_h, base.num_threads) >= 2, the per-level localized
-  /// attempts of a batch fan out over an index-owned pool of that many
-  /// workers (created lazily): dirty levels are independent — only the warm
-  /// fallback's spectrum chain orders them. Concurrent attempts use
-  /// per-level single-threaded updaters (level-parallelism replaces
-  /// region-parallelism; nesting pools would oversubscribe). Otherwise the
-  /// attempts run serially on one updater with base.num_threads threads.
-  /// Results are identical either way.
   LocalizedUpdateOptions localized;
 };
 
@@ -213,7 +203,7 @@ class HCoreIndex {
   size_t ApplyBatch(std::span<const EdgeEdit> edits)
       EXCLUDES(update_mu_, mu_);
 
-  /// The fan-out half of ApplyBatch for callers that canonicalized once:
+  /// The apply half of ApplyBatch for callers that canonicalized once:
   /// `effective` MUST be the exact CanonicalEffectiveEdits output against
   /// this index's current graph, with `summary` its per-kind counts, and
   /// must be non-empty. Skips re-canonicalization, applies the page splice
@@ -255,13 +245,6 @@ class HCoreIndex {
   HCoreIndexStats stats_ GUARDED_BY(mu_);
   // Writer-only scratch (under update_mu_).
   LocalizedUpdater updater_ GUARDED_BY(update_mu_);
-  // Concurrent dirty-level machinery (writer-only, under update_mu_; both
-  // lazy — serial indexes never pay for them). The pool is index-owned:
-  // fanning out on a pool shared with a caller could deadlock (every shared
-  // worker blocked in a Wait while the level tasks queue behind them).
-  std::unique_ptr<ThreadPool> level_pool_ GUARDED_BY(update_mu_);
-  std::vector<std::unique_ptr<LocalizedUpdater>> level_updaters_
-      GUARDED_BY(update_mu_);
 };
 
 }  // namespace hcore

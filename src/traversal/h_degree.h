@@ -44,8 +44,8 @@ inline constexpr uint8_t kMarkNeedsRecompute = 0x80;
 /// materialize and hand out scratch from the coordinator, and every
 /// traversal/stats method REQUIRES the `coordinator()` role — callers claim
 /// it with `computer.coordinator().Assume()` at the point where their
-/// protocol (a single-threaded driver, a TaskGroup barrier) makes them the
-/// sole driver.
+/// protocol (a single-threaded driver, a ThreadPool::Wait barrier) makes
+/// them the sole driver.
 class HDegreeComputer {
  public:
   /// `num_threads` <= 1 selects the sequential path (no pool is created).

@@ -17,7 +17,7 @@
 //   * ThreadRole names a capability with no runtime lock behind it — it
 //     encodes single-owner contracts like "only the coordinator thread may
 //     call ComputeBatch between rounds". Callers claim the role with
-//     role.Assume() where the surrounding protocol (e.g. TaskGroup::Wait
+//     role.Assume() where the surrounding protocol (e.g. ThreadPool::Wait
 //     barriers) guarantees exclusivity.
 
 #ifndef HCORE_UTIL_MUTEX_H_
@@ -86,10 +86,10 @@ class CondVar {
 
 /// A virtual capability naming a thread role rather than a lock. There is
 /// no runtime state: holding the role is a protocol fact (e.g. "the
-/// coordinator between two TaskGroup barriers"), claimed with Assume() at
-/// the point where that fact is established. Functions restricted to the
-/// role take REQUIRES(role) and are thereby uncallable — under Clang — from
-/// code that never claimed it.
+/// coordinator between two ThreadPool::Wait barriers"), claimed with
+/// Assume() at the point where that fact is established. Functions
+/// restricted to the role take REQUIRES(role) and are thereby uncallable —
+/// under Clang — from code that never claimed it.
 class CAPABILITY("role") ThreadRole {
  public:
   ThreadRole() = default;

@@ -95,31 +95,6 @@ void ThreadPool::ForEachWorker(int workers, const std::function<void(int)>& body
   Wait();
 }
 
-void TaskGroup::Run(std::function<void()> task) {
-  if (pool_ == nullptr) {
-    task();
-    return;
-  }
-  {
-    MutexLock lock(mu_);
-    ++pending_;
-  }
-  pool_->Submit([this, task = std::move(task)] {
-    task();
-    Finish();
-  });
-}
-
-void TaskGroup::Finish() {
-  MutexLock lock(mu_);
-  if (--pending_ == 0) done_cv_.NotifyAll();
-}
-
-void TaskGroup::Wait() {
-  MutexLock lock(mu_);
-  while (pending_ != 0) done_cv_.Wait(lock);
-}
-
 void MaybeParallelFor(ThreadPool* pool, uint64_t begin, uint64_t end,
                       uint64_t grain,
                       const std::function<void(uint64_t)>& body) {

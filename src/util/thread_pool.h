@@ -72,40 +72,6 @@ class ThreadPool {
 void MaybeParallelFor(ThreadPool* pool, uint64_t begin, uint64_t end,
                       uint64_t grain, const std::function<void(uint64_t)>& body);
 
-/// A scoped fan-out of tasks onto a shared pool. Unlike ThreadPool::Wait —
-/// which blocks until the WHOLE pool drains, so two clients sharing a pool
-/// would wait on each other's work — Wait() here blocks only until this
-/// group's own tasks finish. Used by HCoreIndex's concurrent per-level
-/// repair.
-///
-/// With a null pool, Run executes the task inline (degenerate but valid).
-/// The destructor waits for any still-pending tasks; the group must outlive
-/// every task it launched.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
-  ~TaskGroup() { Wait(); }
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Launches `task` on the pool (or inline without one).
-  void Run(std::function<void()> task) EXCLUDES(mu_);
-
-  /// Blocks until every task launched through this group has finished.
-  void Wait() EXCLUDES(mu_);
-
- private:
-  /// Retires one task: decrements pending_ and wakes waiters at zero.
-  /// Runs on the pool worker that executed the task.
-  void Finish() EXCLUDES(mu_);
-
-  ThreadPool* pool_;
-  Mutex mu_;
-  CondVar done_cv_;
-  int pending_ GUARDED_BY(mu_) = 0;
-};
-
 }  // namespace hcore
 
 #endif  // HCORE_UTIL_THREAD_POOL_H_

@@ -151,6 +151,29 @@ TEST(Generators, ConnectifyJoinsComponents) {
   EXPECT_EQ(g.num_edges(), 5u);  // 3 original + 2 joins
 }
 
+TEST(Generators, ClusteredCommunitiesAndDeterminism) {
+  Rng a(42), b(42), c(43);
+  std::vector<VertexId> sizes;
+  Graph ga = gen::Clustered(2000, &a, &sizes);
+  EXPECT_EQ(ga.num_vertices(), 2000u);
+  // Pinned against the generator as the benches drew it before it moved
+  // here: a change to the RNG draw order changes every bench graph.
+  EXPECT_EQ(ga.num_edges(), 6968u);
+  EXPECT_EQ(ga.Edges(), gen::Clustered(2000, &b).Edges());
+  EXPECT_NE(ga.Edges(), gen::Clustered(2000, &c).Edges());
+
+  ASSERT_FALSE(sizes.empty());
+  VertexId total = 0;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_LE(sizes[i], 72u);
+    if (i + 1 < sizes.size()) {
+      EXPECT_GE(sizes[i], 8u);  // the last one is clipped to fit n
+    }
+    total += sizes[i];
+  }
+  EXPECT_EQ(total, 2000u);
+}
+
 TEST(Generators, DeterministicForEqualSeeds) {
   Rng a(42), b(42), c(43);
   Graph ga = gen::BarabasiAlbert(100, 2, &a);

@@ -123,15 +123,12 @@ TEST(DynamicFuzz, LocalizedPathMatchesFreshRunsAcrossEditModes) {
 }
 
 TEST(DynamicFuzz, ParallelPeelMatchesFreshAcrossEditModes) {
-  // Mixed edit sequences where BOTH maintenance paths run the
-  // round-synchronous parallel engine — the localized region re-peel
-  // (localized.parallel) and the warm whole-graph fallback
+  // Mixed edit sequences on a 4-thread index whose warm whole-graph
+  // fallback runs the round-synchronous parallel engine
   // (KhCoreOptions::parallel), forced on with a floor of 1 so these small
-  // graphs exercise it. At max_h = 1 the region peel runs on the index's
-  // 4-thread updater; at max_h >= 2 the levels fan out onto 1-thread
-  // updaters instead (parallel_peel_test drives the 4-thread region peel
-  // at h = 2 and 3 directly). Every step must match a fresh (sequential)
-  // decomposition. The TSan CI leg runs this suite.
+  // graphs exercise it; the localized repair stays single-threaded. Every
+  // step must match a fresh (sequential) decomposition. The TSan CI leg
+  // runs this suite.
   KhCoreOptions par;
   par.num_threads = 4;
   par.parallel = ParallelPeelMode::kOn;
@@ -141,8 +138,6 @@ TEST(DynamicFuzz, ParallelPeelMatchesFreshAcrossEditModes) {
     for (int h : {1, 2, 3}) {
       // Default caps: fully localized on these graphs.
       LocalizedUpdateOptions localized;
-      localized.parallel = ParallelPeelMode::kOn;
-      localized.parallel_min_vertices = 1;
       RunDynamicSequence(spec, h, EditMode::kMixed, localized, 8, &tally,
                          par);
       if (HasFatalFailure()) return;
@@ -335,11 +330,10 @@ TEST(IndexFuzz, ApplyBatchMatchesFreshAndLevelCountersBalance) {
   EXPECT_GT(total_fallback, 0u);
 }
 
-TEST(IndexFuzz, ConcurrentDirtyLevelsMatchFreshAndCountersBalance) {
-  // Concurrent per-level maintenance: dirty-level localized attempts fan
-  // out over the index-owned pool (min(max_h, base.num_threads) >= 2).
-  // Results and counters must be exactly those of the serial merge — the
-  // Phase A attempts are independent, only their fan-out is concurrent.
+TEST(IndexFuzz, ThreadedIndexMatchesFreshAndCountersBalance) {
+  // A 4-thread index under small caps: levels alternate between the
+  // single-threaded localized repair and the threaded warm fallback, and
+  // every batch must match fresh runs with each level counted exactly once.
   constexpr int kMaxH = 3;
   uint64_t total_localized = 0;
   uint64_t total_fallback = 0;

@@ -416,5 +416,44 @@ TEST(HCoreIndex, SingleEditsPromoteDemoteGrowAndRejectNoOps) {
   }
 }
 
+TEST(HCoreIndex, ThreadCountChangesNeitherCoresNorRepairPaths) {
+  // Threads act only on whole-graph decompositions (the initial build and
+  // the warm fallback); localized repair is single-threaded. A 1-thread and
+  // a 4-thread index fed the same mixed batches must agree on every level's
+  // cores and on which path served each level. The small region cap makes
+  // both paths run, and the 4-thread index forces the round-synchronous
+  // parallel peel onto this small graph. The TSan CI leg runs this suite.
+  HCoreIndexOptions serial = IndexOptions(3);
+  serial.localized.max_region_fraction = 0.0;
+  serial.localized.min_region_cap = 16;
+  HCoreIndexOptions threaded = serial;
+  threaded.base.num_threads = 4;
+  threaded.base.parallel = ParallelPeelMode::kOn;
+  threaded.base.parallel_min_vertices = 1;
+  const Graph g = MakeRandomGraph(RandomGraphSpec{"ba", 200, 7});
+  HCoreIndex one(g, serial);
+  HCoreIndex four(g, threaded);
+  Rng rng(2024);
+  for (int batch = 0; batch < 24; ++batch) {
+    const int size = 1 + static_cast<int>(rng.NextIndex(8));
+    const int inserts = static_cast<int>(rng.NextIndex(size + 1));
+    const std::vector<EdgeEdit> edits = RandomBatch(
+        one.snapshot()->graph(), &rng, inserts, size - inserts);
+    ASSERT_EQ(one.ApplyBatch(edits), four.ApplyBatch(edits));
+    for (int h = 1; h <= 3; ++h) {
+      ASSERT_EQ(one.snapshot()->Cores(h), four.snapshot()->Cores(h))
+          << "batch=" << batch << " h=" << h;
+    }
+    const HCoreIndexStats a = one.stats();
+    const HCoreIndexStats b = four.stats();
+    ASSERT_EQ(a.localized_updates, b.localized_updates) << "batch=" << batch;
+    ASSERT_EQ(a.fallback_repeels, b.fallback_repeels) << "batch=" << batch;
+    ASSERT_EQ(a.levels_unchanged, b.levels_unchanged) << "batch=" << batch;
+  }
+  ExpectAllLevelsFresh(one);
+  EXPECT_GT(one.stats().localized_updates, 0u);
+  EXPECT_GT(one.stats().fallback_repeels, 0u);
+}
+
 }  // namespace
 }  // namespace hcore

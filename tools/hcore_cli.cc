@@ -61,7 +61,10 @@
 // apply to every command that runs a decomposition (decompose, hierarchy,
 // spectrum, hclub, community, densest, serve, workload). `spectrum`,
 // `serve` and `workload` sweep every h up to --h-max (alias: --max-h)
-// instead of reading --h.
+// instead of reading --h. For `serve`, --threads speeds up the initial
+// build and the whole-graph fallback re-peels of `apply`; localized repair
+// of small batches always runs on one thread, so answers and counters do
+// not depend on it.
 //
 // Every command accepts only the flags it reads: an unknown flag, a stray
 // positional argument, a numeric value that does not parse completely or

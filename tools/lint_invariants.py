@@ -16,8 +16,9 @@ enforces repo conventions that keep the annotated world airtight:
                    either carries GUARDED_BY(...) or is a std::atomic (or the
                    Mutex that guards the others).
 
-  task-capture     Lambdas handed to TaskGroup::Run must enumerate their
-                   captures explicitly (no bare [&]/[=] — a default capture
+  task-capture     Lambdas handed as tasks to any `.Run(` call (the lambda
+                   is the first argument) must enumerate their captures
+                   explicitly (no bare [&]/[=] — a default capture
                    can smuggle a guarded member or a dying local into a pool
                    worker), and must not init-capture `.get()` raw pointers
                    off a snapshot shared_ptr (the task then outlives nothing
@@ -357,7 +358,7 @@ def check_task_capture(path, text):
             if not _allowed("task-capture", line_text):
                 violations.append(Violation(
                     path, line, "task-capture",
-                    f"default capture [{captures}] in a TaskGroup::Run task "
+                    f"default capture [{captures}] in a .Run task "
                     "— enumerate captures explicitly so guarded members "
                     "cannot leak into pool workers"))
         if ".get()" in captures:
@@ -365,7 +366,7 @@ def check_task_capture(path, text):
                 violations.append(Violation(
                     path, line, "task-capture",
                     "raw pointer off a shared_ptr (.get()) captured into a "
-                    "TaskGroup::Run task — capture the shared_ptr itself"))
+                    ".Run task — capture the shared_ptr itself"))
     return violations
 
 

@@ -2,9 +2,12 @@
 //
 // S controls how many distinct upper-bound values each top-down partition
 // covers. Small S means more partitions: tighter LB3 bounds and smaller
-// candidate sets per partition, but more repeated ImproveLB passes over
-// V[k_min]. Large S degenerates towards a single h-LB-style pass seeded
-// with UB-filtered candidates. The paper leaves S as an input parameter;
+// candidate sets per partition, but more window peels, each seeding and
+// cleaning all of V[k_min]. The candidates' h-degrees are carried across
+// partitions (BFS only near each partition's added vertices), so more
+// partitions add no whole-set h-degree sweeps. Large S
+// degenerates towards a single h-LB-style pass seeded with UB-filtered
+// candidates. The paper leaves S as an input parameter;
 // this bench sweeps it (0 = the library's auto heuristic, ~16 partitions).
 
 #include <cstdio>

@@ -86,15 +86,41 @@ std::vector<uint32_t> ComputePowerGraphUpperBound(
   return ub;
 }
 
+uint64_t CarryHDegrees(const Graph& g, int h, const VertexMask& alive,
+                       std::span<const VertexId> added,
+                       std::vector<uint32_t>* hdeg, HDegreeComputer* degrees) {
+  HCORE_CHECK(hdeg->size() == g.num_vertices());
+  degrees->coordinator().Assume();  // caller's thread drives the computer
+  // seen[v]: v is added (its own BFS sets its degree) or already queued.
+  std::vector<uint8_t> seen(g.num_vertices(), 0);
+  for (VertexId a : added) seen[a] = 1;
+  std::vector<VertexId> touched;
+  std::vector<std::pair<VertexId, int>> ball;
+  for (VertexId a : added) {
+    (*hdeg)[a] = degrees->CollectNeighborhood(g, alive, a, h, &ball);
+    for ([[maybe_unused]] const auto& [u, dist] : ball) {
+      if (!seen[u]) {
+        seen[u] = 1;
+        touched.push_back(u);
+      }
+    }
+  }
+  std::vector<uint32_t> fresh(touched.size());
+  degrees->ComputeBatch(g, alive, h, touched, fresh.data());
+  for (size_t i = 0; i < touched.size(); ++i) (*hdeg)[touched[i]] = fresh[i];
+  return added.size() + touched.size();
+}
+
 ImproveLbResult ImproveLB(const Graph& g, int h, uint32_t k_min,
-                          VertexMask* alive, const std::vector<uint32_t>& lb2,
+                          VertexMask* alive, const std::vector<uint32_t>& hdeg,
+                          const std::vector<uint32_t>& lb2,
                           HDegreeComputer* degrees) {
   const VertexId n = g.num_vertices();
+  HCORE_CHECK(hdeg.size() == n);
   degrees->coordinator().Assume();  // caller's thread drives the computer
   ImproveLbResult out;
-  out.hdeg.assign(n, 0);
+  out.hdeg = hdeg;
   out.lb3.assign(n, 0);
-  degrees->ComputeAllAlive(g, *alive, h, &out.hdeg);
 
   // Minimum h-degree over the candidate set, before cleaning (Property 3).
   uint32_t min_hdeg = 0;

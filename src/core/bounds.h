@@ -6,6 +6,8 @@
 //            computed by peeling with unit decrements only    (Algorithm 5)
 //   LB3    = max(LB2, min h-degree within a candidate set)    (Algorithm 6,
 //            Property 3), together with optimistic cleaning of the set.
+//            The candidates' exact h-degrees come from CarryHDegrees, which
+//            grows them along h-LB+UB's nested candidate sets.
 //
 // All functions run their BFS workloads through an HDegreeComputer so the
 // caller controls threading and visit accounting; the UB peel itself is a
@@ -15,6 +17,7 @@
 #define HCORE_CORE_BOUNDS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "engine/vertex_mask.h"
@@ -52,6 +55,20 @@ std::vector<uint32_t> ComputePowerGraphUpperBound(
     const Graph& g, int h, const std::vector<uint32_t>& hdeg,
     HDegreeComputer* degrees, std::vector<VertexId>* peel_order = nullptr);
 
+/// Grows exact h-degrees by one batch of candidates (the h-LB+UB partition
+/// carry). On entry `alive` is the grown set, every vertex of `added` is
+/// alive, and (*hdeg)[v] is v's exact h-degree in G[alive \ added] for every
+/// other alive v. On return (*hdeg)[v] is exact in G[alive] for every alive
+/// v; dead entries are untouched. Each added vertex gets one BFS in
+/// G[alive], which yields its h-degree and its h-ball; the other members of
+/// those balls are recomputed with one ComputeBatch (pooled when the
+/// computer has threads). Every other degree is kept: a vertex whose h-ball
+/// changed has a path of length <= h through an added vertex, so it lies in
+/// that vertex's ball. Returns the number of BFSs run.
+uint64_t CarryHDegrees(const Graph& g, int h, const VertexMask& alive,
+                       std::span<const VertexId> added,
+                       std::vector<uint32_t>* hdeg, HDegreeComputer* degrees);
+
 /// Output of ImproveLB (Algorithm 6).
 struct ImproveLbResult {
   /// Optimistic h-degrees of surviving vertices w.r.t. the cleaned set
@@ -66,10 +83,14 @@ struct ImproveLbResult {
 
 /// Algorithm 6: cleans the candidate set (the alive vertices of `alive`) by
 /// cascade-removing every vertex whose optimistic h-degree drops below
-/// `k_min`, and computes LB3. `alive` is updated in place; removed vertices
-/// are killed in the mask.
+/// `k_min`, and computes LB3. `hdeg` must hold every candidate's exact
+/// h-degree in G[alive] (e.g. maintained by CarryHDegrees); ImproveLB runs
+/// no h-degree BFS of its own, only one neighborhood enumeration per
+/// cleaned vertex. `alive` is updated in place; removed vertices are killed
+/// in the mask.
 ImproveLbResult ImproveLB(const Graph& g, int h, uint32_t k_min,
-                          VertexMask* alive, const std::vector<uint32_t>& lb2,
+                          VertexMask* alive, const std::vector<uint32_t>& hdeg,
+                          const std::vector<uint32_t>& lb2,
                           HDegreeComputer* degrees);
 
 }  // namespace hcore

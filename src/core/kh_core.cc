@@ -1,6 +1,7 @@
 #include "core/kh_core.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 
 #include "core/bounds.h"
@@ -243,37 +244,50 @@ class Decomposer {
 
     // Line 11: intervals of `step` contiguous upper-bound values, visited
     // top-down. The floor of the last interval is the global minimum lower
-    // bound lb0 (the paper appends min LB2 - 1 to U; equivalent).
+    // bound lb0 (the paper appends min LB2 - 1 to U; equivalent). k_min
+    // strictly decreases, so the candidate sets V[k_min] only grow, and
+    // cand_hdeg carries every candidate's exact h-degree in G[V[k_min]]
+    // from one partition to the next.
+    std::vector<uint32_t> cand_hdeg(n_, 0);
+    uint32_t k_prev = std::numeric_limits<uint32_t>::max();  // V[k_prev] = {}
     for (size_t i = 0; i < codomain.size(); i += step) {
       const uint32_t k_max = codomain[i];
       const uint32_t k_min = (i + step < codomain.size())
                                  ? codomain[i + step] + 1
                                  : std::min(lb0, codomain.back());
-      ProcessPartition(k_min, k_max, lb, ub);
+      ProcessPartition(k_min, k_max, k_prev, lb, ub, &cand_hdeg);
+      k_prev = k_min;
       if (k_min == 0) break;  // everything is assigned
     }
   }
 
-  void ProcessPartition(uint32_t k_min, uint32_t k_max,
+  void ProcessPartition(uint32_t k_min, uint32_t k_max, uint32_t k_prev,
                         const std::vector<uint32_t>& lb,
-                        const std::vector<uint32_t>& ub) {
+                        const std::vector<uint32_t>& ub,
+                        std::vector<uint32_t>* cand_hdeg) {
     ++result_.stats.partitions;
     // Line 12: V[k_min] = {v : UB(v) >= k_min}. This resurrects vertices
     // peeled by earlier (higher) partitions. The O(1) epoch reset makes the
     // per-partition view swap free of buffer refills.
     alive_.ResetAllDead();
+    std::vector<VertexId> added;  // V[k_min] \ V[k_prev]
     for (VertexId v = 0; v < n_; ++v) {
-      if (ub[v] >= k_min) alive_.Revive(v);
+      if (ub[v] < k_min) continue;
+      alive_.Revive(v);
+      if (ub[v] < k_prev) added.push_back(v);
     }
-    const uint64_t candidates = alive_.num_alive();
-    if (candidates == 0) return;
+    if (alive_.num_alive() == 0) return;
+
+    // Exact h-degrees in G[V[k_min]]: BFS only around the added vertices.
+    engine_.stats().hdegree_computations +=
+        CarryHDegrees(g_, h_, alive_, added, cand_hdeg, &degrees_);
 
     // Line 13-14: ImproveLB cleans V[k_min] and lifts the lower bound
     // (Property 3). Vertices already assigned in higher partitions are
     // never cleaned: their true h-degree in V[k_min] is >= their core
     // index >= k_min (Observation 3).
-    ImproveLbResult improved = ImproveLB(g_, h_, k_min, &alive_, lb, &degrees_);
-    engine_.stats().hdegree_computations += candidates;
+    ImproveLbResult improved =
+        ImproveLB(g_, h_, k_min, &alive_, *cand_hdeg, lb, &degrees_);
 
     // Lines 15-17: re-bucket every surviving candidate lazily.
     const uint32_t floor_key = (k_min == 0) ? 0 : k_min - 1;

@@ -5,7 +5,11 @@
 //   * h-LB     (Algorithms 2+3) — peeling with lazy h-degrees seeded by the
 //                LB2 lower bound;
 //   * h-LB+UB  (Algorithms 4+5+6) — partitioned top-down peeling driven by
-//                the power-graph upper bound, with ImproveLB cleaning.
+//                the power-graph upper bound, with ImproveLB cleaning. The
+//                candidate sets V[k_min] only grow from one partition to
+//                the next, so their exact h-degrees are carried across
+//                partitions and re-run by BFS only within distance h of the
+//                vertices each partition adds (CarryHDegrees, core/bounds.h).
 //
 // All three produce identical core indexes; they differ only in how many
 // h-bounded BFS traversals they perform (Table 3 of the paper). All three
@@ -122,7 +126,9 @@ struct KhCoreStats {
   /// Total vertices visited over all h-bounded BFS traversals — the paper's
   /// "number of computed point-to-point distances" (Table 3).
   uint64_t visited_vertices = 0;
-  /// Number of full h-degree recomputations (BFS runs).
+  /// Number of full h-degree recomputations (BFS runs). For h-LB+UB this
+  /// includes the BFSs each partition's h-degree carry runs: one per added
+  /// candidate and one per recomputed member of their h-balls.
   uint64_t hdegree_computations = 0;
   /// Number of O(1) decrement updates taken instead of a BFS.
   uint64_t decrement_updates = 0;

@@ -22,6 +22,48 @@ using ::hcore::testing::Corpus;
 using ::hcore::testing::MakeRandomGraph;
 using ::hcore::testing::RandomGraphSpec;
 
+// The h-LB+UB partition carry: grows a candidate set top-down by a random
+// key, in steps that add a third, nothing, one vertex and all the rest.
+// After every step the carried degrees must equal a fresh computation over
+// the grown set. Returns the largest number of non-added vertices one step
+// recomputed.
+uint64_t ExpectCarryMatchesFresh(const Graph& g, int h, int threads,
+                                 uint64_t seed) {
+  const VertexId n = g.num_vertices();
+  std::vector<VertexId> order(n);
+  for (VertexId v = 0; v < n; ++v) order[v] = v;
+  Rng rng(seed);
+  rng.Shuffle(&order);  // order[i] is the vertex with the i-th highest key
+  HDegreeComputer degrees(n, threads);
+  degrees.coordinator().Assume();  // test body is the sole driver
+  VertexMask alive(n, false);
+  std::vector<uint32_t> carried(n, 0);
+  size_t grown = 0;
+  uint64_t max_recomputed = 0;
+  for (size_t step : {size_t{n / 3}, size_t{0}, size_t{1}, size_t{n}}) {
+    const size_t end = std::min<size_t>(n, grown + step);
+    std::vector<VertexId> added(order.begin() + grown, order.begin() + end);
+    for (VertexId a : added) alive.Revive(a);
+    grown = end;
+    const uint64_t bfs_runs =
+        CarryHDegrees(g, h, alive, added, &carried, &degrees);
+    EXPECT_GE(bfs_runs, added.size());
+    EXPECT_LE(bfs_runs, grown);
+    max_recomputed = std::max<uint64_t>(max_recomputed,
+                                        bfs_runs - added.size());
+    std::vector<uint32_t> fresh(n, 0);
+    degrees.ComputeAllAlive(g, alive, h, &fresh);
+    for (VertexId v = 0; v < n; ++v) {
+      if (!alive.IsAlive(v)) continue;
+      EXPECT_EQ(carried[v], fresh[v])
+          << "v=" << v << " h=" << h << " after growing to " << grown
+          << " vertices";
+    }
+  }
+  EXPECT_EQ(grown, n);
+  return max_recomputed;
+}
+
 TEST(BoundsPaperExample, Example3Lb1Lb2Values) {
   // Example 3 (h = 2): LB1(v1) = LB1(v2) = 2, LB1(v4) = 5, and
   // LB2(v2) = max(LB1(v2), LB1(v4)) = 5 = core(v2).
@@ -58,8 +100,13 @@ TEST(BoundsPaperExample, ImproveLbCleansV6Partition) {
   HDegreeComputer degrees(g.num_vertices(), 1);
   VertexMask alive(g.num_vertices(), true);
   alive.Kill(0);  // v1 has UB 4 < 6
+  std::vector<uint32_t> hdeg;
+  degrees.coordinator().Assume();  // test body is the sole driver
+  degrees.ComputeAllAlive(g, alive, 2, &hdeg);
+  EXPECT_EQ(hdeg[1], 5u);  // v2
+  EXPECT_EQ(hdeg[2], 5u);  // v3
   std::vector<uint32_t> lb2(g.num_vertices(), 5);
-  ImproveLbResult r = ImproveLB(g, 2, 6, &alive, lb2, &degrees);
+  ImproveLbResult r = ImproveLB(g, 2, 6, &alive, hdeg, lb2, &degrees);
   EXPECT_EQ(r.removed, 2u);
   EXPECT_FALSE(alive.IsAlive(1));  // v2 cleaned
   EXPECT_FALSE(alive.IsAlive(2));  // v3 cleaned
@@ -136,11 +183,14 @@ TEST_P(BoundsProperty, ImproveLbNeverRemovesTrueCoreMembers) {
   uint32_t degeneracy = 0;
   for (uint32_t c : core) degeneracy = std::max(degeneracy, c);
   HDegreeComputer degrees(n, 1);
+  degrees.coordinator().Assume();  // test body is the sole driver
   std::vector<uint32_t> zeros(n, 0);
   for (uint32_t k : {degeneracy, degeneracy / 2}) {
     if (k == 0) continue;
     VertexMask alive(n, true);
-    ImproveLbResult r = ImproveLB(g, h, k, &alive, zeros, &degrees);
+    std::vector<uint32_t> hdeg;
+    degrees.ComputeAllAlive(g, alive, h, &hdeg);
+    ImproveLbResult r = ImproveLB(g, h, k, &alive, hdeg, zeros, &degrees);
     for (VertexId v = 0; v < n; ++v) {
       if (core[v] >= k) {
         EXPECT_TRUE(alive.IsAlive(v))
@@ -156,6 +206,12 @@ TEST_P(BoundsProperty, ImproveLbNeverRemovesTrueCoreMembers) {
   }
 }
 
+TEST_P(BoundsProperty, CarriedHDegreesMatchFreshOnNestedSets) {
+  const auto& [spec, h] = GetParam();
+  ExpectCarryMatchesFresh(MakeRandomGraph(spec), h, /*threads=*/1,
+                          spec.seed * 31 + static_cast<uint64_t>(h));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Corpus, BoundsProperty,
     ::testing::Combine(::testing::ValuesIn(Corpus(40, 2)),
@@ -164,6 +220,45 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param).Name() + "_h" +
              std::to_string(std::get<1>(info.param));
     });
+
+TEST(BoundsCarry, AddingOneVertexRecomputesOnlyItsBall) {
+  // Locality guard: on a 32x32 lattice at h = 3, adding one interior vertex
+  // to a set that holds all the others runs one BFS per member of its
+  // radius-3 ball (1 + 4 + 8 + 12 = 25), not one per candidate (1024).
+  constexpr int kH = 3;
+  Graph g = gen::Grid(32, 32);
+  const VertexId n = g.num_vertices();
+  const VertexId center = 16 * 32 + 16;
+  HDegreeComputer degrees(n, 1);
+  degrees.coordinator().Assume();  // test body is the sole driver
+  VertexMask alive(n, true);
+  alive.Kill(center);
+  std::vector<uint32_t> carried;
+  degrees.ComputeAllAlive(g, alive, kH, &carried);
+  alive.Revive(center);
+  degrees.ResetStats();
+  const VertexId added[] = {center};
+  const uint64_t bfs_runs =
+      CarryHDegrees(g, kH, alive, added, &carried, &degrees);
+  EXPECT_EQ(bfs_runs, 25u);
+  // Each of those BFSs sees at most the 24 other members of a radius-3
+  // ball.
+  EXPECT_LE(degrees.total_visited(), 25u * 24u);
+  std::vector<uint32_t> fresh;
+  degrees.ComputeAllAlive(g, alive, kH, &fresh);
+  EXPECT_EQ(carried, fresh);
+}
+
+TEST(BoundsCarry, PooledRecomputeMatchesFresh) {
+  // Same check on a 4-thread computer, with balls large enough that the
+  // recomputation batch reaches the pool (batches under 32 run inline).
+  Rng rng(5);
+  Graph g = gen::BarabasiAlbert(400, 3, &rng);
+  for (int h : {2, 3}) {
+    EXPECT_GE(ExpectCarryMatchesFresh(g, h, /*threads=*/4, 17 + h), 32u)
+        << "h=" << h;
+  }
+}
 
 TEST(BoundsQuality, Lb2TighterThanLb1OnSocialGraph) {
   Rng rng(11);

@@ -280,11 +280,49 @@ TEST_P(KhCoreOptionsProperty, ThreadCountDoesNotChangeResult) {
 }
 
 TEST_P(KhCoreOptionsProperty, PartitionSizeDoesNotChangeResult) {
+  // Every width S grows the candidate sets in different steps, so the
+  // h-degrees carried across partitions see different additions.
   Graph g = MakeRandomGraph(GetParam());
-  KhCoreResult base = Decompose(g, 3, KhCoreAlgorithm::kLb);
-  for (int s : {1, 2, 5, 1000}) {
-    KhCoreResult part = Decompose(g, 3, KhCoreAlgorithm::kLbUb, 1, s);
-    EXPECT_EQ(base.core, part.core) << "S=" << s;
+  for (int h : {2, 3, 4}) {
+    KhCoreResult base = Decompose(g, h, KhCoreAlgorithm::kLb);
+    for (int s : {1, 2, 5, 1000}) {
+      KhCoreResult part = Decompose(g, h, KhCoreAlgorithm::kLbUb, 1, s);
+      EXPECT_EQ(base.core, part.core) << "h=" << h << " S=" << s;
+    }
+  }
+}
+
+TEST_P(KhCoreOptionsProperty, ExtraUpperBoundDoesNotChangeResult) {
+  // The index's warm-fallback shape: h-LB+UB with a caller's upper bound.
+  // Cores of G plus a few extra edges bound G's cores from above (adding
+  // edges never lowers a core index), and give a partition schedule other
+  // than Algorithm 5's.
+  const RandomGraphSpec& spec = GetParam();
+  Graph g = MakeRandomGraph(spec);
+  const VertexId n = g.num_vertices();
+  GraphBuilder builder(n);
+  for (const auto& [u, v] : g.Edges()) builder.AddEdge(u, v);
+  Rng rng(spec.seed * 101 + 7);
+  for (int i = 0; i < 4; ++i) {
+    builder.AddEdge(rng.NextIndex(n), rng.NextIndex(n));
+  }
+  const Graph denser = builder.Build();
+  for (int h : {2, 3}) {
+    const KhCoreResult base = Decompose(g, h, KhCoreAlgorithm::kLb);
+    const std::vector<uint32_t> upper =
+        Decompose(denser, h, KhCoreAlgorithm::kLb).core;
+    for (int s : {1, 0}) {
+      for (int threads : {1, 4}) {
+        KhCoreOptions opts;
+        opts.h = h;
+        opts.algorithm = KhCoreAlgorithm::kLbUb;
+        opts.partition_size = s;
+        opts.num_threads = threads;
+        opts.extra_upper_bound = &upper;
+        EXPECT_EQ(base.core, KhCoreDecomposition(g, opts).core)
+            << "h=" << h << " S=" << s << " threads=" << threads;
+      }
+    }
   }
 }
 
